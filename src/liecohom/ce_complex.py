@@ -11,6 +11,12 @@ differential
 which on left-invariant forms of a Lie group agrees with the ordinary
 exterior derivative.  In degree 0 the sum is empty, so d vanishes on
 constants.
+
+evaluate computes that sum by definition, but nothing on the cohomology
+path evaluates it.  d is built from the structure constants instead: on
+1-forms the sum reads d t[m] = -sum over i < j of c^m_ij t[i,j], and the
+graded Leibniz rule extends it to every basis tuple, one sparse column at
+a time.
 """
 
 from itertools import combinations
@@ -21,11 +27,12 @@ from .errors import (
     DegreeOutOfRange,
     DimensionCapExceeded,
     DimensionMismatch,
+    InternalCheckFailed,
     JacobiViolation,
     MixedFields,
 )
 from .field_arith import Matrix, _rref, det_rows, format_scalar, rank_and_kernel
-from .lie_core import bracket, jacobi_check
+from .lie_core import jacobi_check
 
 DEFAULT_MAX_DIM = 20
 
@@ -258,8 +265,46 @@ def shuffle_eval(alpha, beta, args):
     return total
 
 
+def _one_form_differentials(L):
+    """d t[m] = -sum over i < j of c^m_ij t[i,j], as {m: {(i, j): -c^m_ij}}."""
+    dt = {}
+    for pair, terms in L.brackets.items():
+        for m, c in terms.items():
+            dt.setdefault(m, {})[pair] = -c
+    return dt
+
+
+def _d_basis(dt, I):
+    """d t[I] as {J: coeff} by the graded Leibniz rule.
+
+    d(t[I_0] ^ ... ^ t[I_k-1]) = sum over p of (-1)^p t[I_0] ^ ... ^ d t[I_p] ^ ...;
+    each d t[I_p] is a 2-form, so it moves to the front without a sign and
+    is merged into the remaining indices.  Terms repeating an index vanish.
+    The result may hold zero coefficients where terms cancelled.
+    """
+    out = {}
+    for p, m in enumerate(I):
+        terms = dt.get(m)
+        if not terms:
+            continue
+        rest = I[:p] + I[p + 1 :]
+        for (i, j), c in terms.items():
+            if i in rest or j in rest:
+                continue
+            J, sign = _merge_sign((i, j), rest)
+            if (sign < 0) != (p % 2 == 1):
+                c = -c
+            prev = out.get(J)
+            out[J] = c if prev is None else prev + c
+    return out
+
+
 def d_apply(L, form):
-    """Coboundary of a form, computed from the displayed sum on basis tuples."""
+    """Coboundary of a form: the sum of coeff_I * d t[I] over its basis tuples.
+
+    Agrees with the displayed alternating sum of the module docstring,
+    which evaluate computes by definition.
+    """
     n = L.dim
     if form.ambient != n:
         raise DimensionMismatch("form lives on ambient %d, algebra has dim %d" % (form.ambient, n))
@@ -268,20 +313,13 @@ def d_apply(L, form):
     k = form.degree
     if k > n:
         raise DegreeOutOfRange("degree %d exceeds dimension %d" % (k, n))
+    dt = _one_form_differentials(L)
     coeffs = {}
-    for J in combinations(range(1, n + 1), k + 1):
-        basis_args = [L.basis_vector(a) for a in J]
-        total = L.field.zero
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                first = bracket(L, basis_args[i], basis_args[j])
-                rest = [basis_args[c] for c in range(k + 1) if c != i and c != j]
-                term = evaluate(form, [first] + rest)
-                if (i + j) % 2:
-                    term = -term
-                total = total + term
-        if total:
-            coeffs[J] = total
+    for I, coeff in form.coeffs.items():
+        for J, value in _d_basis(dt, I).items():
+            term = coeff * value
+            prev = coeffs.get(J)
+            coeffs[J] = term if prev is None else prev + term
     return ExteriorForm(n, k + 1, L.field, coeffs)
 
 
@@ -309,14 +347,13 @@ def ce_differential(L, k):
         raise DegreeOutOfRange("degree %d out of range for dimension %d" % (k, n))
     row_index = {J: r for r, J in enumerate(index_tuples(n, k + 1))}
     cols = index_tuples(n, k)
-    zero = L.field.zero
-    flat = [[zero] * len(cols) for _ in row_index] if row_index else []
+    ncols = len(cols)
+    flat = [L.field.zero] * (len(row_index) * ncols)
+    dt = _one_form_differentials(L)
     for c, I in enumerate(cols):
-        image = d_apply(L, basis_form(L.field, n, I))
-        for J, value in image.coeffs.items():
-            flat[row_index[J]][c] = value
-    matrix = Matrix.from_rows(L.field, flat, cols=len(cols))
-    return CoboundaryMatrix(k, matrix)
+        for J, value in _d_basis(dt, I).items():
+            flat[row_index[J] * ncols + c] = value
+    return CoboundaryMatrix(k, Matrix(L.field, len(row_index), ncols, flat))
 
 
 def leibniz_check(L, one_forms):
@@ -366,13 +403,23 @@ def horizontal_basis(L, h, k):
     if k == 0:
         return [ExteriorForm(n, 0, L.field, {(): L.field.one})]
     cols = index_tuples(n, k)
+    col_index = {I: c for c, I in enumerate(cols)}
+    zero = L.field.zero
     rows = []
     for w in h.basis:
+        support = [(a, x) for a, x in enumerate(w, start=1) if x]
         for T in index_tuples(n, k - 1):
-            fixed = [w] + [L.basis_vector(a) for a in T]
-            row = [evaluate(basis_form(L.field, n, I), fixed) for I in cols]
+            # the coefficient of t[T] in the contraction of t[I] with w is
+            # (-1)^p w_a when I = T + {a} with a in position p of I
+            row = [zero] * len(cols)
+            for a, x in support:
+                if a in T:
+                    continue
+                p = sum(1 for b in T if b < a)
+                I = T[:p] + (a,) + T[p:]
+                row[col_index[I]] = -x if p % 2 else x
             rows.append(row)
-    matrix = Matrix.from_rows(L.field, rows, cols=len(cols))
+    matrix = Matrix(L.field, len(rows), len(cols), [x for row in rows for x in row])
     _, kernel = rank_and_kernel(matrix)
     return [form_from_vector(L.field, n, k, v) for v in kernel]
 
@@ -463,7 +510,10 @@ def cohomology(L, max_dim=DEFAULT_MAX_DIM):
         prev_rank = ranks[k - 1] if k > 0 else 0
         betti_k = len(kernels[k]) - prev_rank
         betti.append(betti_k)
-        assert betti_k == comb(n, k) - ranks[k] - prev_rank
+        if betti_k != comb(n, k) - ranks[k] - prev_rank:
+            raise InternalCheckFailed(
+                "degree %d: kernel dimension and rank disagree" % k
+            )
 
         echelon = []
         if k > 0:
@@ -486,8 +536,13 @@ def cohomology(L, max_dim=DEFAULT_MAX_DIM):
                 reduced = [x / inv for x in reduced]
             echelon.append((lead, reduced))
             reps.append(form_from_vector(field, n, k, reduced))
-        assert len(reps) == betti_k
+        if len(reps) != betti_k:
+            raise InternalCheckFailed(
+                "degree %d: %d representatives for Betti number %d"
+                % (k, len(reps), betti_k)
+            )
         representatives.append(reps)
 
-    assert sum((-1) ** k * b for k, b in enumerate(betti)) == (1 if n == 0 else 0)
+    if sum((-1) ** k * b for k, b in enumerate(betti)) != (1 if n == 0 else 0):
+        raise InternalCheckFailed("Euler characteristic of %r is not zero" % L.name)
     return CohomologyReport(L.name, n, field, betti, ranks, representatives)

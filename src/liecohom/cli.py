@@ -3,7 +3,8 @@
 Commands: validate, cohomology, quotient, catalog, selftest.  Reports go to
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 Jacobi violation,
 2 not an ideal, 3 parse error or unknown key, 4 dimension cap exceeded,
-5 selftest failure.
+5 selftest failure, 6 an internal consistency check failed (a bug: the
+report would be wrong, so none is printed).
 """
 
 import argparse
@@ -15,6 +16,7 @@ from .ce_complex import DEFAULT_MAX_DIM, cohomology
 from .errors import (
     DimensionCapExceeded,
     Error,
+    InternalCheckFailed,
     JacobiViolation,
     NotAnIdeal,
     ParseError,
@@ -31,6 +33,7 @@ EXIT_NOT_IDEAL = 2
 EXIT_PARSE = 3
 EXIT_DIM_CAP = 4
 EXIT_SELFTEST = 5
+EXIT_INTERNAL = 6
 
 
 def _fail(message, code):
@@ -152,6 +155,8 @@ def cmd_cohomology(args):
         return EXIT_JACOBI
     except DimensionCapExceeded as exc:
         return _fail(str(exc), EXIT_DIM_CAP)
+    except InternalCheckFailed as exc:
+        return _fail("internal check failed: %s" % exc, EXIT_INTERNAL)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -178,6 +183,8 @@ def cmd_quotient(args):
         return EXIT_NOT_IDEAL
     except DimensionCapExceeded as exc:
         return _fail(str(exc), EXIT_DIM_CAP)
+    except InternalCheckFailed as exc:
+        return _fail("internal check failed: %s" % exc, EXIT_INTERNAL)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:

@@ -41,6 +41,10 @@ class SingularMatrix(Error, ValueError):
     """A group point drifted too close to the singular locus."""
 
 
+class InternalCheckFailed(Error):
+    """An invariant the computation guarantees did not hold: a bug, not bad input."""
+
+
 class JacobiViolation(Error):
     """Structure constants fail the Jacobi identity.
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 from .errors import (
     DimensionMismatch,
     DivisionByZero,
+    InternalCheckFailed,
     MixedFields,
     ParseError,
 )
@@ -755,7 +756,8 @@ def _bareiss_rank(rows):
             for j in range(c + 1, ncols):
                 num = pivot * rows[i][j] - fi * rows[r][j]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss divisibility violated"
+                if rem:
+                    raise InternalCheckFailed("Bareiss divisibility violated")
                 rows[i][j] = q
             rows[i][c] = 0
         prev = pivot

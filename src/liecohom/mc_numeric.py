@@ -11,9 +11,11 @@ At the identity this reduces to d Theta (Z0, Z1) = [Z1, Z0], which is the
 sign bridge behind the exact coboundary: d t (Z0, Z1) = -t([Z0, Z1]) for
 every left-invariant 1-form t.  one_form_sign_check verifies that exact
 statement degree by degree against the structure constants.
-"""
 
-import numpy as np
+numpy is imported inside the functions that use it, not at module level:
+the package imports this module on every command, and the exact commands
+(cohomology, quotient, validate, catalog) never load numpy.
+"""
 
 from .ce_complex import ce_differential, index_tuples
 from .errors import DimensionMismatch, SingularMatrix
@@ -30,6 +32,8 @@ class MatrixGroupPoint:
     __slots__ = ("n", "entries")
 
     def __init__(self, entries):
+        import numpy as np
+
         entries = np.asarray(entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DimensionMismatch("group point must be a square matrix")
@@ -65,6 +69,8 @@ class NumericCheckResult:
 
 
 def _as_array(g):
+    import numpy as np
+
     if isinstance(g, MatrixGroupPoint):
         return g.entries
     g = np.asarray(g, dtype=float)
@@ -77,6 +83,8 @@ def _as_array(g):
 
 def theta(g, dg):
     """The tautological form at g applied to a tangent matrix: g^-1 dg."""
+    import numpy as np
+
     g = _as_array(g)
     dg = np.asarray(dg, dtype=float)
     if dg.shape != g.shape:
@@ -89,6 +97,8 @@ def numeric_dtheta(g, v, w, step=DEFAULT_STEP):
 
     Second order: the truncation error scales as step squared.
     """
+    import numpy as np
+
     g = _as_array(g)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -112,6 +122,8 @@ def maurer_cartan_check(n, samples=100, tol=DEFAULT_TOL, step=DEFAULT_STEP, seed
     The draw sequence depends only on the seed, not on the step, so the
     same samples can be re-run at several steps.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     max_err = 0.0
     resampled = 0

@@ -26,6 +26,7 @@ from .ce_complex import (
 from .errors import (
     DimensionCapExceeded,
     DimensionMismatch,
+    InternalCheckFailed,
     JacobiViolation,
     MixedFields,
     ParseError,
@@ -183,15 +184,15 @@ def dense_quotient_cohomology(inp, check_chain_iso=True, max_dim=DEFAULT_MAX_DIM
         q = qd.quotient.dim
         expected = [comb(q, k) for k in range(q + 1)]
         if report.betti != expected:
-            raise RuntimeError(
-                "internal cross-check failed: abelian quotient Betti %r, expected %r"
+            raise InternalCheckFailed(
+                "abelian quotient Betti %r, expected %r"
                 % (report.betti, expected)
             )
     chain_ok = False
     if check_chain_iso:
         failure = chain_iso_check(L, inp.ideal)
         if failure is not None:
-            raise RuntimeError("chain isomorphism check failed: %r" % (failure,))
+            raise InternalCheckFailed("chain isomorphism check failed: %r" % (failure,))
         chain_ok = True
     return DenseQuotientReport(
         algebra=L.name,

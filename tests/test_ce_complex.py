@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 import _oracle
+from _families import filiform, heisenberg as heisenberg_family, rebased, solv, strictly_upper
 from liecohom.ce_complex import (
     ExteriorForm,
     basis_form,
@@ -30,7 +31,13 @@ from liecohom.errors import (
     JacobiViolation,
 )
 from liecohom.field_arith import Field, Matrix, QQ, rank
-from liecohom.lie_core import LieAlgebra, Subspace, jacobi_check
+from liecohom.lie_core import (
+    LieAlgebra,
+    Subspace,
+    bracket,
+    jacobi_check,
+    torus_ideal_from_directions,
+)
 
 FA = Field("a")
 A = FA.generator()
@@ -59,6 +66,47 @@ def random_form(rng, n, degree, field=QQ):
 
 def random_vector(rng, n):
     return [Fraction(rng.randint(-5, 5)) for _ in range(n)]
+
+
+def random_qa_form(rng, n, degree):
+    """A sparse form over Q(a) with coefficients like (2a - 1)/3 and 1/(a + 2)."""
+    coeffs = {}
+    for idx in index_tuples(n, degree):
+        if rng.random() < 0.5:
+            value = (rng.randint(-3, 3) * A + rng.randint(-3, 3)) / rng.randint(1, 3)
+            if rng.random() < 0.3:
+                value = value / (A + rng.randint(1, 4))
+            coeffs[idx] = value
+    return ExteriorForm(n, degree, FA, coeffs)
+
+
+def ce_sum(L, form):
+    """d form by the displayed alternating sum on basis tuples, through evaluate."""
+    n, k = L.dim, form.degree
+    coeffs = {}
+    for J in index_tuples(n, k + 1):
+        args = [L.basis_vector(a) for a in J]
+        total = L.field.zero
+        for i in range(k + 1):
+            for j in range(i + 1, k + 1):
+                rest = [args[c] for c in range(k + 1) if c != i and c != j]
+                term = evaluate(form, [bracket(L, args[i], args[j])] + rest)
+                total = total + (-term if (i + j) % 2 else term)
+        coeffs[J] = total
+    return ExteriorForm(n, k + 1, L.field, coeffs)
+
+
+def rebased_filiform6():
+    """L_6 after an integer change of basis with a fractional inverse."""
+    P = [
+        [1, 1, 0, 0, 0, 0],
+        [0, 2, 1, 0, 0, 0],
+        [0, 0, 1, 0, 0, 1],
+        [1, 0, 0, 3, 0, 0],
+        [0, 0, 0, 1, 1, 0],
+        [0, 1, 1, 0, 0, 2],
+    ]
+    return rebased(filiform(6), P)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +254,24 @@ def test_differential_abelian_is_zero():
 
 
 def test_differential_matrix_matches_oracle():
-    for L in (so3(), sl2(), heisenberg()):
+    fractional = rebased_filiform6()
+    assert any(c.denominator > 1 for terms in fractional.brackets.values()
+               for c in terms.values())
+    for L in (so3(), sl2(), heisenberg(), filiform(6), heisenberg_family(2),
+              strictly_upper(4), fractional):
         for k in range(L.dim + 1):
             ours = ce_differential(L, k).matrix
             theirs = _oracle.coboundary_matrix(L, k)
             assert ours.to_rows() == theirs
+
+
+def test_d_apply_matches_displayed_sum_over_rational_functions():
+    rng = random.Random(12)
+    for L in (solv(5), LieAlgebra.abelian("torus_5", 5, FA)):
+        for k in range(L.dim + 1):
+            for _ in range(2):
+                form = random_qa_form(rng, L.dim, k)
+                assert d_apply(L, form) == ce_sum(L, form)
 
 
 def test_differential_shape_and_range():
@@ -299,6 +360,34 @@ def test_horizontal_dimension_binomial():
     h = Subspace(4, [[1, 2, 0, 0], [0, 0, 1, 1]], QQ)
     for k in range(5):
         assert len(horizontal_basis(L, h, k)) == comb(2, k)
+
+
+def test_horizontal_basis_matches_oracle_contractions():
+    # non-coordinate subspaces; h need not be an ideal for the contraction
+    h_q = Subspace(5, [[1, Fraction(1, 2), 0, -1, 0], [0, 2, 1, 0, Fraction(-3, 4)]], QQ)
+    plane = torus_ideal_from_directions(
+        5, [[1, 2 * A + 1, -A, 0, 0], [0, 0, 1, A - 3, 3 * A]], FA)
+    line = Subspace(6, [[0, 1, Fraction(2, 3), 0, 0, 1]], QQ)
+    cases = (
+        (heisenberg_family(2), h_q),
+        (rebased_filiform6(), line),
+        (LieAlgebra.abelian("torus_5", 5, FA), plane),
+    )
+    for L, h in cases:
+        n = L.dim
+        for k in range(n + 1):
+            basis = horizontal_basis(L, h, k)
+            assert len(basis) == comb(n - h.size, k)
+            assert _oracle.gauss_rank([form_to_vector(f) for f in basis]) == len(basis)
+            if k == 0:
+                continue
+            for f in basis:
+                for w in h.basis:
+                    for T in index_tuples(n, k - 1):
+                        args = [w] + [L.basis_vector(a) for a in T]
+                        contraction = sum(c * _oracle.eval_basis_form(I, args)
+                                          for I, c in f.coeffs.items())
+                        assert contraction == 0
 
 
 def test_horizontal_forms_vanish_on_subspace():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liecohom
 from liecohom.catalog import CATALOG_KEYS, catalog_entry
 from liecohom.cli import main
 
@@ -306,6 +311,26 @@ def test_argparse_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc_info:
         main(["selftest", "--seed", "-1"])
     assert exc_info.value.code == 2
+
+
+def test_exact_commands_do_not_load_numpy(tmp_path):
+    # numpy adds ~12 MiB of resident memory; only the numeric check needs it
+    script = (
+        "import sys\n"
+        "import liecohom.cli as cli\n"
+        "codes = [cli.main(['cohomology', sys.argv[1]]), cli.main(['quotient', sys.argv[2]])]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+        "import liecohom\n"
+        "print(liecohom.maurer_cartan_check.__name__)\n"
+    )
+    src = str(Path(liecohom.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, write_doc(tmp_path, so3_doc()),
+         write_doc(tmp_path, heis_pipeline_doc(), name="pipeline.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0] False", "maurer_cartan_check"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import _oracle
+from _families import filiform, heisenberg as heisenberg_family, strictly_upper
 from liecohom.errors import (
     DimensionMismatch,
     MixedFields,
@@ -82,6 +84,28 @@ def test_jacobi_violation_with_exact_residual():
     assert violations == [(1, 2, 3, [Fraction(0), Fraction(0), Fraction(1)])]
     # independent expansion agrees
     assert _oracle.jacobiator(bad, 1, 2, 3) == [Fraction(0), Fraction(0), Fraction(1)]
+
+
+def test_jacobi_check_matches_oracle_on_single_entry_corruptions():
+    rng = random.Random(23)
+    caught = 0
+    for L in (so3(), heisenberg(), filiform(6), heisenberg_family(2), strictly_upper(4)):
+        n = L.dim
+        slots = [(i, j, k) for i, j in combinations(range(1, n + 1), 2)
+                 for k in range(1, n + 1)]
+        for i, j, k in rng.sample(slots, min(len(slots), 25)):
+            table = {pair: dict(terms) for pair, terms in L.brackets.items()}
+            slot = table.setdefault((i, j), {})
+            slot[k] = slot.get(k, 0) + Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+            bad = LieAlgebra("bad", n, QQ, table)
+            expected = []
+            for triple in combinations(range(1, n + 1), 3):
+                residual = _oracle.jacobiator(bad, *triple)
+                if any(residual):
+                    expected.append(triple + (residual,))
+            assert jacobi_check(bad) == expected
+            caught += bool(expected)
+    assert caught > 50
 
 
 def test_subspace_requires_independent_basis():
