@@ -18,14 +18,12 @@ Fraction(3, 4)
 '(a + 1)/(a - 1)'
 """
 
-import math
 import re
 from fractions import Fraction
 
 from .errors import (
     DimensionMismatch,
     DivisionByZero,
-    InternalCheckFailed,
     MixedFields,
     ParseError,
 )
@@ -732,51 +730,9 @@ def _rref(rows, ncols):
     return rows, pivots
 
 
-def _bareiss_rank(rows):
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                p = i
-                break
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, nrows):
-            fi = rows[i][c]
-            for j in range(c + 1, ncols):
-                num = pivot * rows[i][j] - fi * rows[r][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise InternalCheckFailed("Bareiss divisibility violated")
-                rows[i][j] = q
-            rows[i][c] = 0
-        prev = pivot
-        r += 1
-    return r
-
-
 def rank(m):
-    """Exact rank.  Over Q this runs fraction-free on a denominator-cleared
-    integer copy; over Q(a) it falls back to division elimination."""
-    if m.field.is_rationals:
-        int_rows = []
-        for i in range(m.rows):
-            row = m.row(i)
-            scale = math.lcm(*(x.denominator for x in row)) if row else 1
-            int_rows.append([int(x * scale) for x in row])
-        return _bareiss_rank(int_rows)
-    _, pivots = _rref(m.to_rows(), m.cols)
-    return len(pivots)
+    """Exact rank: the number of pivots of the reduced row echelon form."""
+    return len(_rref(m.to_rows(), m.cols)[1])
 
 
 def rank_and_kernel(m):
@@ -862,19 +818,3 @@ def det_rows(rows, field):
                 f = rows[i][c] / pivot
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
     return -det if negate else det
-
-
-def invert(m):
-    """Inverse of a square invertible matrix via elimination on [m | I]."""
-    if m.rows != m.cols:
-        raise DimensionMismatch("only square matrices invert")
-    n = m.rows
-    if n == 0:
-        return m
-    ident = Matrix.identity(m.field, n)
-    aug = [m.row(i) + ident.row(i) for i in range(n)]
-    rref_rows, pivots = _rref(aug, 2 * n)
-    if len(pivots) < n or pivots[n - 1] != n - 1:
-        raise ValueError("matrix is singular")
-    flat = [x for i in range(n) for x in rref_rows[i][n:]]
-    return Matrix(m.field, n, n, flat)

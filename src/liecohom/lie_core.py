@@ -16,9 +16,9 @@ from .field_arith import (
     Field,
     Matrix,
     QQ,
+    _rref,
     field_of,
     format_scalar,
-    invert,
     parse_scalar,
     rank,
     solve_in_span,
@@ -190,9 +190,6 @@ class Subspace:
     def size(self):
         return len(self.basis)
 
-    def contains(self, vector):
-        return solve_in_span(self.basis, vector) is not None
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -255,8 +252,11 @@ def quotient_algebra(L, h):
     """Quotient of L by the ideal h, with explicit projection and section.
 
     The complement is the lexicographically first subset of standard basis
-    vectors completing h to a basis, found greedily.  Raises NotAnIdeal
-    (carrying the witness) when h fails ideal_check.
+    vectors completing h to a basis.  Both come out of one reduced echelon
+    form of [h | I]: its pivot columns S are h followed by that complement,
+    and the form itself is S^-1 [h | I], so the last n - dim h rows of its
+    identity block are the projection.  Raises NotAnIdeal (carrying the
+    witness) when h fails ideal_check.
     """
     witness = ideal_check(L, h)
     if witness is not None:
@@ -265,22 +265,13 @@ def quotient_algebra(L, h):
     field = L.field
     q = n - m
 
-    chosen = []
-    current = [list(v) for v in h.basis]
-    for j in range(1, n + 1):
-        if len(chosen) == q:
-            break
-        trial = current + [L.basis_vector(j)]
-        if rank(Matrix.from_rows(field, trial)) == len(trial):
-            current = trial
-            chosen.append(j)
-
-    # change of basis: columns are the h basis followed by the complement
-    cols = [list(v) for v in h.basis] + [L.basis_vector(j) for j in chosen]
-    S = Matrix.from_rows(field, cols).transpose()
-    Sinv = invert(S)
-    projection = Matrix.from_rows(field, [Sinv.row(m + a) for a in range(q)], cols=n)
-    section_rows = [[field.one if chosen[b] == i + 1 else field.zero for b in range(q)]
+    one, zero = field.one, field.zero
+    aug = [[v[i] for v in h.basis] + [one if c == i else zero for c in range(n)]
+           for i in range(n)]
+    rref_rows, pivots = _rref(aug, m + n)
+    chosen = [p - m + 1 for p in pivots[m:]]
+    projection = Matrix.from_rows(field, [row[m:] for row in rref_rows[m:]], cols=n)
+    section_rows = [[one if chosen[b] == i + 1 else zero for b in range(q)]
                     for i in range(n)]
     section = Matrix.from_rows(field, section_rows, cols=q)
 
@@ -303,8 +294,9 @@ def quotient_algebra(L, h):
 def torus_ideal_from_directions(n, directions, field=None):
     """Span of one-parameter subgroup directions inside an abelian algebra.
 
-    Directions may be dependent; an independent subset is extracted by
-    elimination in the given order, keeping earlier vectors.
+    Directions may be dependent; the independent subset kept is the one
+    at the pivot columns of the reduced echelon form of the directions,
+    which keeps earlier vectors.
     """
     directions = [list(v) for v in directions]
     if field is None:
@@ -314,11 +306,9 @@ def torus_ideal_from_directions(n, directions, field=None):
             raise DimensionMismatch(
                 "direction of length %d in ambient dimension %d" % (len(v), n)
             )
-    kept = []
-    for v in directions:
-        trial = kept + [[field.coerce(x) for x in v]]
-        if rank(Matrix.from_rows(field, trial)) == len(trial):
-            kept = trial
+    directions = [[field.coerce(x) for x in v] for v in directions]
+    _, pivots = _rref([[v[i] for v in directions] for i in range(n)], len(directions))
+    kept = [directions[p] for p in pivots]
     return Subspace(n, kept, field)
 
 

@@ -18,10 +18,10 @@ from .ce_complex import (
     basis_form,
     cohomology,
     d_apply,
-    evaluate,
     form_to_vector,
     horizontal_basis,
     index_tuples,
+    wedge,
 )
 from .errors import (
     DimensionCapExceeded,
@@ -96,8 +96,8 @@ class DenseQuotientReport:
 def pullback_form(projection, sigma):
     """Pull a form on the quotient back along the projection.
 
-    The coefficient of the result on a basis tuple I is sigma evaluated on
-    the projected basis vectors (pi e_i for i in I).
+    Pullback is multiplicative, so a basis form t[J] pulls back to the
+    wedge over j in J of the 1-forms pi* t[j] = sum over a of pi[j][a] t[a].
     """
     q, n = projection.rows, projection.cols
     if sigma.ambient != q:
@@ -106,14 +106,18 @@ def pullback_form(projection, sigma):
         )
     if sigma.field != projection.field:
         raise MixedFields("form and projection over different fields")
-    k = sigma.degree
-    columns = [projection.col(j) for j in range(n)]
-    coeffs = {}
-    for I in index_tuples(n, k):
-        value = evaluate(sigma, [columns[a - 1] for a in I])
-        if value:
-            coeffs[I] = value
-    return ExteriorForm(n, k, sigma.field, coeffs)
+    field = sigma.field
+    pulled = [
+        ExteriorForm(n, 1, field, {(a,): x for a, x in enumerate(projection.row(j), start=1)})
+        for j in range(q)
+    ]
+    out = ExteriorForm(n, sigma.degree, field)
+    for J, coeff in sigma.coeffs.items():
+        term = ExteriorForm(n, 0, field, {(): coeff})
+        for j in J:
+            term = wedge(term, pulled[j - 1])
+        out = out + term
+    return out
 
 
 def chain_iso_check(L, h):

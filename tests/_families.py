@@ -1,12 +1,13 @@
 """Lie algebra families built from their definitions, shared by the tests.
 
 Each constructor writes the structure constants out directly; none of
-them goes through the package's complex or elimination code.
+them goes through the package's complex.  rebased reads the constants in
+the new basis off solve_in_span.
 """
 
 from fractions import Fraction
 
-from liecohom.field_arith import Field, Matrix, QQ, invert
+from liecohom.field_arith import Field, QQ, solve_in_span
 from liecohom.lie_core import LieAlgebra, bracket
 
 
@@ -49,12 +50,11 @@ def strictly_upper(N):
 def rebased(L, P):
     """L in the basis f_i = sum_a P[a][i] e_a, for an invertible P over Q."""
     n = L.dim
-    Pinv = invert(Matrix.from_rows(QQ, P))
     cols = [[Fraction(P[a][i]) for a in range(n)] for i in range(n)]
     table = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            image = Pinv.mul_vec(bracket(L, cols[i - 1], cols[j - 1]))
+            image = solve_in_span(cols, bracket(L, cols[i - 1], cols[j - 1]))
             terms = {k: c for k, c in enumerate(image, start=1) if c}
             if terms:
                 table[(i, j)] = terms

@@ -7,6 +7,7 @@ import pytest
 
 import _oracle
 from _families import filiform, heisenberg as heisenberg_family, strictly_upper
+from liecohom.catalog import selftest_entries
 from liecohom.errors import (
     DimensionMismatch,
     MixedFields,
@@ -27,6 +28,7 @@ from liecohom.lie_core import (
     subspace_to_json,
     torus_ideal_from_directions,
 )
+from liecohom.selftest import _jacobi_holds_direct
 
 FA = Field("a")
 A = FA.generator()
@@ -106,6 +108,30 @@ def test_jacobi_check_matches_oracle_on_single_entry_corruptions():
             assert jacobi_check(bad) == expected
             caught += bool(expected)
     assert caught > 50
+
+
+def test_selftest_jacobi_oracle_matches_jacobiator_on_all_ordered_triples():
+    # the selftest's oracle sweeps i < j < k only; the Jacobiator is
+    # alternating, so it must agree with a sweep over every ordered triple
+    rng = random.Random(31)
+    algebras = [entry.algebra for entry in selftest_entries()]
+    outcomes = set()
+    for L in [L for L in algebras if L.field == QQ]:
+        n = L.dim
+        slots = [(i, j, k) for i, j in combinations(range(1, n + 1), 2)
+                 for k in range(1, n + 1)]
+        for i, j, k in rng.sample(slots, min(len(slots), 12)):
+            table = {pair: dict(terms) for pair, terms in L.brackets.items()}
+            slot = table.setdefault((i, j), {})
+            slot[k] = slot.get(k, L.field.zero) + rng.choice((-1, 1, 2))
+            algebras.append(LieAlgebra("bad", n, L.field, table))
+    for L in algebras:
+        triples = [(i, j, k) for i in range(1, L.dim + 1)
+                   for j in range(1, L.dim + 1) for k in range(1, L.dim + 1)]
+        holds = not any(any(_oracle.jacobiator(L, *t)) for t in triples)
+        assert _jacobi_holds_direct(L) == holds
+        outcomes.add(holds)
+    assert outcomes == {True, False}
 
 
 def test_subspace_requires_independent_basis():
@@ -190,6 +216,48 @@ def test_quotient_projection_is_lie_map():
         assert lhs == rhs
 
 
+def _matvec(matrix, v):
+    return [sum((a * x for a, x in zip(matrix.row(i), v)), matrix.field.zero)
+            for i in range(matrix.rows)]
+
+
+def test_quotient_non_coordinate_ideals_against_oracle():
+    L_6 = filiform(6)
+    h_5 = heisenberg_family(2)
+    h3_a = LieAlgebra("h3", 3, FA, {(1, 2): {3: 1}})
+    cases = [
+        (LieAlgebra.abelian("a4", 4, QQ), [[1, 2, 0, -1], [0, 1, 1, 3]]),
+        (h_5, [[0, 0, 0, 0, 1], [1, 0, -2, 1, 0]]),
+        (h_5, [[0, 0, 0, 0, 1], [1, 1, 0, 0, 0], [0, 1, 1, -1, 0]]),
+        (L_6, [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0],
+               [0, 0, 0, 0, 0, 1], [1, 3, 0, 0, 0, 0]]),
+        (L_6, [[0, 0, 0, 0, 1, 2], [0, 0, 0, 0, 0, 1]]),
+        (LieAlgebra.abelian("torus4", 4, FA),
+         [[FA.one, A, 0, 2], [0, 1, 1 / A, A + 1]]),
+        (h3_a, [[FA.one, A, FA.zero], [0, 0, 1]]),
+    ]
+    for L, vectors in cases:
+        n, field = L.dim, L.field
+        vectors = [[field.coerce(x) for x in v] for v in vectors]
+        qd = quotient_algebra(L, Subspace(n, vectors, field))
+        m, q = len(vectors), n - len(vectors)
+        assert qd.projection.shape == (q, n) and qd.section.shape == (n, q)
+        for w in vectors:
+            assert not any(_matvec(qd.projection, w))
+        basis = [[field.one if r == j else field.zero for r in range(n)] for j in range(n)]
+        sections = [qd.section.col(b) for b in range(q)]
+        unit = [[field.one if r == c else field.zero for c in range(q)] for r in range(q)]
+        assert [_matvec(qd.projection, s) for s in sections] == unit
+        for e in basis:
+            lifted = _matvec(qd.section, _matvec(qd.projection, e))
+            assert _oracle.gauss_rank(vectors + [[a - b for a, b in zip(e, lifted)]]) == m
+        # the section picks unit vectors: the greedy lexicographic complement
+        chosen = [basis.index(s) for s in sections]
+        for j in range(n):
+            before = _oracle.gauss_rank(vectors + basis[:j])
+            assert (j in chosen) == (_oracle.gauss_rank(vectors + basis[:j + 1]) > before)
+
+
 def test_complement_is_lexicographically_first():
     # h spanned by e2: the complement must pick e1 then e3
     L = LieAlgebra.abelian("a3", 3, QQ)
@@ -203,6 +271,13 @@ def test_torus_ideal_from_directions():
     assert h.basis == [[FA.one, A]]
     h = torus_ideal_from_directions(3, [[1, 0, 0], [2, 0, 0]], QQ)
     assert h.basis == [[1, 0, 0]]
+    # a dependent direction in the middle: the earliest independent ones stay
+    h = torus_ideal_from_directions(
+        3, [[1, 1, 0], [0, 1, 1], [1, 2, 1], [0, 0, 1], [1, 0, 0]], QQ)
+    assert h.basis == [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    h = torus_ideal_from_directions(
+        3, [[FA.one, A, 0], [2, 2 * A, 0], [0, 1, 1 / A], [1, A + 1, 1 / A]], FA)
+    assert h.basis == [[FA.one, A, FA.zero], [FA.zero, FA.one, 1 / A]]
     h = torus_ideal_from_directions(2, [], QQ)
     assert h.size == 0
     with pytest.raises(DimensionMismatch):

@@ -5,12 +5,15 @@ from math import comb
 import pytest
 
 import _oracle
+from _families import heisenberg as heisenberg_family
+from liecohom import ce_complex, field_arith, lie_core, quotient_pipeline
 from liecohom.ce_complex import (
     basis_form,
     cohomology,
     evaluate,
     form_from_vector,
     horizontal_basis,
+    index_tuples,
 )
 from liecohom.errors import (
     DimensionCapExceeded,
@@ -105,6 +108,34 @@ def test_pullback_evaluation_property():
         args = [[Fraction(rng.randint(-5, 5)) for _ in range(3)] for _ in range(k)]
         projected = [qd.projection.mul_vec(v) for v in args]
         assert evaluate(pb, args) == evaluate(sigma, projected)
+
+
+def test_pullback_non_coordinate_projection_against_oracle():
+    # coefficient on I of the pullback of sum c_J t[J] is
+    # sum c_J t[J](pi e_i for i in I), by permutation sums
+    rng = random.Random(17)
+    projections = [
+        Matrix.from_rows(QQ, [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                               for _ in range(5)] for _ in range(3)]),
+        Matrix.from_rows(FA, [[1, A, 0, 2], [1 / A, 0, A + 1, -1], [A * A, 1, 1, 1 / (A - 1)]]),
+    ]
+    for pi in projections:
+        q, n, field = pi.rows, pi.cols, pi.field
+        images = [pi.col(a) for a in range(n)]
+        for k in range(q + 1):
+            sigmas = [basis_form(field, q, J) for J in index_tuples(q, k)]
+            sigmas.append(form_from_vector(
+                field, q, k, [field.coerce(rng.randint(-4, 4)) + (A if field == FA else 0)
+                              for _ in index_tuples(q, k)]))
+            for sigma in sigmas:
+                pb = pullback_form(pi, sigma)
+                assert pb.ambient == n and pb.degree == k
+                for I in index_tuples(n, k):
+                    expected = sum(
+                        (c * _oracle.eval_basis_form(J, [images[i - 1] for i in I])
+                         for J, c in sigma.coeffs.items()),
+                        field.zero)
+                    assert pb.coeffs.get(I, field.zero) == expected
 
 
 def test_pullback_errors():
@@ -247,6 +278,28 @@ def test_report_json():
     assert doc["chain_iso_verified"] is True
     assert doc["note"] == "central circle dense"
     assert doc["report"]["betti"] == [1, 2, 1]
+
+
+def test_pipeline_takes_no_determinants(monkeypatch):
+    # pullback is a wedge of pulled-back 1-forms and the quotient comes out
+    # of one echelon form: no determinant is taken anywhere on this path
+    def forbidden(*args, **kwargs):
+        raise AssertionError("determinant taken in the quotient pipeline")
+
+    for module in (ce_complex, field_arith, lie_core, quotient_pipeline):
+        for name in ("evaluate", "det_rows"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    h5_ideal = Subspace(5, [[0, 0, 0, 0, 1], [1, 0, -2, 1, 0]], QQ)
+    cases = [
+        (heisenberg(), heis_center()),
+        torus_line(),
+        (so3_plus_line(), Subspace(4, [[0, 0, 0, 1]], QQ)),
+        (heisenberg_family(2), h5_ideal),
+    ]
+    for L, h in cases:
+        rep = dense_quotient_cohomology(DenseQuotientInput(L, h))
+        assert rep.chain_iso_verified
 
 
 # ---------------------------------------------------------------------------
