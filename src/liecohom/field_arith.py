@@ -5,6 +5,10 @@ A scalar is either a `fractions.Fraction` (field Q) or a `RationalFunction`
 form at all times, so two scalars of the same field are equal exactly when
 their representations coincide.  Canonical form for a rational function:
 numerator and denominator coprime, denominator monic, zero stored as 0/1.
+It is kept by a polynomial gcd only where reduction is not already
+guaranteed: negation, reciprocals, powers and constants are canonical by
+construction, and sums and products of reduced fractions use Henrici's
+gcd splitting, which skips every gcd with a constant argument.
 
 Scalar text syntax, used by every file format, is ordinary arithmetic
 notation over integers and at most one indeterminate.  Whitespace is
@@ -49,10 +53,6 @@ class Poly:
     def const(cls, c):
         return cls((Fraction(c),))
 
-    @classmethod
-    def monomial(cls, c, degree):
-        return cls((0,) * degree + (Fraction(c),))
-
     @property
     def degree(self):
         # degree of the zero polynomial is -1 by convention
@@ -94,6 +94,10 @@ class Poly:
             return Poly(tuple(c * other for c in self.coeffs))
         if self.is_zero or other.is_zero:
             return Poly()
+        if len(other.coeffs) == 1:
+            return self * other.coeffs[0]
+        if len(self.coeffs) == 1:
+            return other * self.coeffs[0]
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -106,14 +110,18 @@ class Poly:
     def __divmod__(self, other):
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        q = Poly()
-        r = self
+        m = other.degree
+        low = other.coeffs[:m]
         inv_lead = 1 / other.leading
-        while not r.is_zero and r.degree >= other.degree:
-            t = Poly.monomial(r.leading * inv_lead, r.degree - other.degree)
-            q = q + t
-            r = r - t * other
-        return q, r
+        r = list(self.coeffs)
+        q = [Fraction(0)] * max(len(r) - m, 0)
+        for k in range(len(q) - 1, -1, -1):
+            c = r[k + m] * inv_lead
+            if c:
+                q[k] = c
+                for j, b in enumerate(low):
+                    r[k + j] -= c * b
+        return Poly(q), Poly(r[:m])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -173,7 +181,16 @@ def _poly_str(p, var):
 # rational functions
 
 class RationalFunction:
-    """Element of Q(var), stored as a reduced fraction of polynomials."""
+    """Element of Q(var), stored as a reduced fraction of polynomials.
+
+    Every operation returns the canonical form: numerator and denominator
+    coprime, denominator monic, zero stored as 0/1.  A polynomial gcd is
+    taken only where the result can need reducing.  Negation, reciprocals,
+    powers and constants are canonical by construction, a gcd with a
+    constant polynomial is 1, and products and sums of reduced fractions
+    follow Henrici's splitting (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1),
+    which takes gcds of the smaller cross terms and then needs no final one.
+    """
 
     __slots__ = ("var", "num", "den")
 
@@ -187,9 +204,10 @@ class RationalFunction:
         if num.is_zero:
             den = _POLY_ONE
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
+            if num.degree > 0 and den.degree > 0:
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num, den = num // g, den // g
             lead = den.leading
             if lead != 1:
                 inv = 1 / lead
@@ -199,8 +217,17 @@ class RationalFunction:
         self.den = den
 
     @classmethod
+    def _reduced(cls, var, num, den=_POLY_ONE):
+        """Wrap num/den, which the caller guarantees to be canonical."""
+        self = object.__new__(cls)
+        self.var = var
+        self.num = num
+        self.den = den
+        return self
+
+    @classmethod
     def generator(cls, var):
-        return cls(var, Poly((0, 1)))
+        return cls._reduced(var, Poly((0, 1)))
 
     @property
     def is_constant(self):
@@ -220,21 +247,35 @@ class RationalFunction:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return RationalFunction(self.var, Poly.const(other))
+            return RationalFunction._reduced(self.var, Poly.const(other))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(
-            self.var, self.num * o.den + o.num * self.den, self.den * o.den
-        )
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if b.degree == 0 and d.degree == 0:
+            return RationalFunction._reduced(self.var, a + c)
+        g = poly_gcd(b, d) if b.degree > 0 and d.degree > 0 else _POLY_ONE
+        if g.degree == 0:
+            # coprime denominators: (ad + cb)/(bd) is already reduced
+            return RationalFunction._reduced(self.var, a * d + c * b, b * d)
+        b_g, d_g = b // g, d // g
+        t = a * d_g + c * b_g
+        if t.is_zero:
+            return RationalFunction._reduced(self.var, t)
+        # t shares no factor with b/g or d/g, so gcd(t, g) is all that cancels
+        if t.degree > 0:
+            g2 = poly_gcd(t, g)
+            if g2.degree > 0:
+                t, d = t // g2, d // g2
+        return RationalFunction._reduced(self.var, t, b_g * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(self.var, -self.num, self.den)
+        return RationalFunction._reduced(self.var, -self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -252,17 +293,37 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.var, self.num * o.num, self.den * o.den)
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if a.is_zero or c.is_zero:
+            return RationalFunction._reduced(self.var, Poly())
+        # a/b and c/d are reduced, so only a with d and c with b can cancel
+        if a.degree > 0 and d.degree > 0:
+            g = poly_gcd(a, d)
+            if g.degree > 0:
+                a, d = a // g, d // g
+        if c.degree > 0 and b.degree > 0:
+            g = poly_gcd(c, b)
+            if g.degree > 0:
+                c, b = c // g, b // g
+        return RationalFunction._reduced(self.var, a * c, b * d)
 
     __rmul__ = __mul__
+
+    def _reciprocal(self):
+        if self.num.is_zero:
+            raise DivisionByZero("division by the zero rational function")
+        num, den = self.den, self.num
+        lead = den.leading
+        if lead != 1:
+            inv = 1 / lead
+            num, den = num * inv, den * inv
+        return RationalFunction._reduced(self.var, num, den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.num.is_zero:
-            raise DivisionByZero("division by the zero rational function")
-        return RationalFunction(self.var, self.num * o.den, self.den * o.num)
+        return self * o._reciprocal()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -276,16 +337,18 @@ class RationalFunction:
         if exponent < 0:
             if self.num.is_zero:
                 raise DivisionByZero("zero raised to a negative power")
-            return (RationalFunction(self.var, self.den, self.num)) ** (-exponent)
-        out = RationalFunction(self.var, _POLY_ONE)
-        base = self
+            return self._reciprocal() ** (-exponent)
+        # powers of coprime polynomials stay coprime, of monic ones monic
+        num = den = _POLY_ONE
+        base_num, base_den = self.num, self.den
         e = exponent
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                num, den = num * base_num, den * base_den
             e >>= 1
-        return out
+            if e:
+                base_num, base_den = base_num * base_num, base_den * base_den
+        return RationalFunction._reduced(self.var, num, den)
 
     def __eq__(self, other):
         if isinstance(other, RationalFunction):
@@ -339,13 +402,13 @@ class Field:
     def zero(self):
         if self.var is None:
             return Fraction(0)
-        return RationalFunction(self.var, Poly())
+        return RationalFunction._reduced(self.var, Poly())
 
     @property
     def one(self):
         if self.var is None:
             return Fraction(1)
-        return RationalFunction(self.var, _POLY_ONE)
+        return RationalFunction._reduced(self.var, _POLY_ONE)
 
     def generator(self):
         if self.var is None:
@@ -367,7 +430,7 @@ class Field:
                 )
             return value
         if isinstance(value, (int, Fraction)):
-            return RationalFunction(self.var, Poly.const(value))
+            return RationalFunction._reduced(self.var, Poly.const(value))
         raise MixedFields("expected an element of Q(%s), got %r" % (self.var, value))
 
     def parse(self, text):

@@ -4,7 +4,8 @@ Nothing here shares code with the package's complex: forms are evaluated
 by explicit permutation sums, the coboundary comes straight from the
 alternating-sum formula applied to every basis tuple, and ranks come from
 a standalone Gaussian elimination.  Only the structure-constant data of a
-LieAlgebra object is read.
+LieAlgebra object is read.  Rational functions in Q(a) are pairs of
+Fraction coefficient lists, reduced by their own Euclidean algorithm.
 """
 
 from fractions import Fraction
@@ -131,4 +132,73 @@ def jacobiator(L, i, j, k):
         inner = bracket_vectors(table, n, basis_vec(x), basis_vec(y))
         outer = bracket_vectors(table, n, inner, basis_vec(z))
         total = [a + b for a, b in zip(total, outer)]
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Q(a): rational functions as pairs of ascending Fraction coefficient lists
+
+
+def _trim(p):
+    p = [Fraction(c) for c in p]
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def poly_add(p, q):
+    n = max(len(p), len(q))
+    return _trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
+                  for i in range(n)])
+
+
+def poly_mul(p, q):
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def poly_divmod(p, q):
+    """Long division of coefficient lists, leading term first."""
+    rem = _trim(p)
+    quot = [Fraction(0)] * max(len(rem) - len(q) + 1, 0)
+    while len(rem) >= len(q):
+        shift = len(rem) - len(q)
+        f = rem[-1] / q[-1]
+        quot[shift] = f
+        for i, c in enumerate(q):
+            rem[i + shift] -= f * c
+        rem = _trim(rem)
+    return _trim(quot), rem
+
+
+def poly_euclid(p, q):
+    """A gcd of p and q by Euclid's algorithm, not normalized."""
+    p, q = _trim(p), _trim(q)
+    while q:
+        p, q = q, poly_divmod(p, q)[1]
+    return p
+
+
+def reduce_fraction(num, den):
+    """Canonical (num, den): coprime, den monic, zero as ([], [1])."""
+    num, den = _trim(num), _trim(den)
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return [], [Fraction(1)]
+    g = poly_euclid(num, den)
+    num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+    lead = den[-1]
+    return [c / lead for c in num], [c / lead for c in den]
+
+
+def poly_eval(p, x):
+    total = Fraction(0)
+    for c in reversed(p):
+        total = total * x + c
     return total

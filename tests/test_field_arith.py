@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+import _oracle
+from liecohom import field_arith
 from liecohom.errors import DivisionByZero, MixedFields, ParseError
 from liecohom.field_arith import (
     Field,
     Matrix,
+    Poly,
     QQ,
     RationalFunction,
     det_rows,
@@ -191,3 +195,136 @@ def test_rational_function_pow_and_neg():
     assert x ** (-1) == A / (A + 1)
     with pytest.raises(DivisionByZero):
         FA.zero ** (-1)
+
+
+def _product(*factors, scale=1):
+    out = [Fraction(scale)]
+    for f in factors:
+        out = _oracle.poly_mul(out, f)
+    return out
+
+
+# factors a, a + 1, a - 1, 2a - 3, a^2 + 1, a + 2; none vanishes at _POINTS
+_A, _P, _M, _T, _Q, _S = [0, 1], [1, 1], [-1, 1], [-3, 2], [1, 0, 1], [2, 1]
+_POINTS = (Fraction(1, 3), Fraction(-5, 7), Fraction(7, 4))
+
+# (numerator, denominator) before reduction: zero and other constants,
+# polynomials, equal and coprime denominators, denominators sharing a
+# factor, non-monic denominators and uncancelled common factors
+_OPERANDS = [
+    ([0], [1]),
+    ([5], [1]),
+    ([Fraction(-2, 3)], [1]),
+    (_A, [1]),
+    (_product(_P, _M), [1]),
+    (_product(_T, _Q, scale=-3), [1]),
+    ([1], _P),
+    (_A, _P),
+    (_S, _P),
+    (_product(_M, scale=2), _product(_P, _P, scale=6)),
+    (_product(_P, _A), _product(_A, _M)),
+    ([1], _product(_A, _P)),
+    ([1], _product(_A, _M)),
+    (_product(_Q, scale=3), _product(_A, _M, _T, scale=2)),
+    (_product(_A, _A), _Q),
+    (_product(_T, _P), _product(_P, _Q, scale=-1)),
+]
+
+
+def _rf(pair):
+    return RationalFunction("a", Poly(pair[0]), Poly(pair[1]))
+
+
+def _parts(x):
+    return list(x.num.coeffs), list(x.den.coeffs)
+
+
+def _value(x, point):
+    return _oracle.poly_eval(list(x.num.coeffs), point) / _oracle.poly_eval(
+        list(x.den.coeffs), point)
+
+
+def _oracle_pow(n, d, e):
+    if e < 0:
+        n, d, e = d, n, -e
+    return _oracle.reduce_fraction(_product(*[n] * e), _product(*[d] * e))
+
+
+def _check(got, expected_parts, values):
+    assert _parts(got) == expected_parts
+    assert [_value(got, t) for t in _POINTS] == values
+
+
+def test_rational_function_ops_match_oracle():
+    """+, -, *, /, unary - and ** give exactly the independent canonical form."""
+    red = _oracle.reduce_fraction
+    mul, add = _oracle.poly_mul, _oracle.poly_add
+    pairs = [red(*p) for p in _OPERANDS]
+    xs = [_rf(p) for p in _OPERANDS]
+    for x, p in zip(xs, pairs):
+        assert _parts(x) == p
+    constants = [3, Fraction(-2, 3)]
+    paths = set()
+    for x, (n1, d1) in zip(xs, pairs):
+        xv = [_value(x, t) for t in _POINTS]
+        _check(-x, red([-c for c in n1], d1), [-v for v in xv])
+        for e in (0, 1, 2, 3, -1, -2):
+            if e < 0 and not x:
+                continue
+            _check(x ** e, _oracle_pow(n1, d1, e), [v ** e for v in xv])
+        for c in constants:
+            cn = [Fraction(c)]
+            _check(x + c, red(add(n1, mul(cn, d1)), d1), [v + c for v in xv])
+            _check(c - x, red(add(mul(cn, d1), [-t for t in n1]), d1), [c - v for v in xv])
+            _check(c * x, red(mul(cn, n1), d1), [c * v for v in xv])
+            _check(x / c, red(n1, mul(cn, d1)), [v / c for v in xv])
+            if x:
+                _check(c / x, red(mul(cn, d1), n1), [c / v for v in xv])
+        for y, (n2, d2) in zip(xs, pairs):
+            yv = [_value(y, t) for t in _POINTS]
+            cross = mul(n1, d2), mul(n2, d1)
+            total, diff = x + y, x - y
+            _check(total, red(add(*cross), mul(d1, d2)), [u + v for u, v in zip(xv, yv)])
+            _check(diff, red(add(cross[0], [-t for t in cross[1]]), mul(d1, d2)),
+                   [u - v for u, v in zip(xv, yv)])
+            _check(x * y, red(mul(n1, n2), mul(d1, d2)), [u * v for u, v in zip(xv, yv)])
+            if y:
+                _check(x / y, red(*cross), [u / v for u, v in zip(xv, yv)])
+            shared = len(_oracle.poly_euclid(d1, d2)) > 1
+            for s in (total, diff):
+                paths.add((len(d1) > 1 and len(d2) > 1, shared, not s,
+                           len(s.num.coeffs) == 1))
+    # denominators 1, coprime and shared; sums that cancel to zero, to a
+    # nonzero constant numerator and to a nonconstant one
+    assert {(False, False, False, False), (True, False, False, False),
+            (True, True, True, False), (True, True, False, True),
+            (True, True, False, False)} <= paths
+
+
+def test_fast_paths_take_no_gcd(monkeypatch):
+    """Results that are reduced by construction are built without poly_gcd."""
+    p, q = A**2 - 1, 2 * A + 3
+    x = (A + 1) / (A - 1)
+    cases = [
+        lambda: -x,
+        lambda: p + q,
+        lambda: p - q,
+        lambda: p * q,
+        lambda: Fraction(3, 4) * x,
+        lambda: x * 5,
+        lambda: x / 7,
+        lambda: x / Fraction(2, 3),
+        lambda: 1 / x,
+        lambda: x ** -1,
+        lambda: FA.one / q,
+    ]
+    expected = [case() for case in cases]
+
+    def forbidden(a, b):
+        raise AssertionError("poly_gcd(%r, %r) on a reduced result" % (a, b))
+
+    monkeypatch.setattr(field_arith, "poly_gcd", forbidden)
+    assert [case() for case in cases] == expected
+    big = parse_scalar("(a+1)^300", FA)
+    assert big.den.coeffs == (1,)
+    assert big.num.coeffs == tuple(comb(300, k) for k in range(301))
