@@ -75,6 +75,24 @@ class ExteriorForm:
         self.field = field
         self.coeffs = {idx: clean[idx] for idx in sorted(clean)}
 
+    @classmethod
+    def _trusted(cls, ambient, degree, field, coeffs):
+        """Wrap coeffs, which the caller guarantees to be valid for the
+        degree and ambient, keyed in sorted order and free of zeros, with
+        values in the field."""
+        self = object.__new__(cls)
+        self.ambient = ambient
+        self.degree = degree
+        self.field = field
+        self.coeffs = coeffs
+        return self
+
+    @classmethod
+    def _from_sums(cls, ambient, degree, field, sums):
+        """Form from an unordered dict of field scalars that may hold zeros."""
+        return cls._trusted(ambient, degree, field,
+                            {idx: sums[idx] for idx in sorted(sums) if sums[idx]})
+
     @property
     def is_zero(self):
         return not self.coeffs
@@ -93,11 +111,12 @@ class ExteriorForm:
             raise DimensionMismatch("cannot add forms of different degrees")
         out = dict(self.coeffs)
         for idx, value in other.coeffs.items():
-            out[idx] = out.get(idx, self.field.zero) + value
-        return ExteriorForm(self.ambient, self.degree, self.field, out)
+            prev = out.get(idx)
+            out[idx] = value if prev is None else prev + value
+        return ExteriorForm._from_sums(self.ambient, self.degree, self.field, out)
 
     def __neg__(self):
-        return ExteriorForm(
+        return ExteriorForm._trusted(
             self.ambient,
             self.degree,
             self.field,
@@ -111,12 +130,8 @@ class ExteriorForm:
 
     def __mul__(self, scalar):
         scalar = self.field.coerce(scalar)
-        return ExteriorForm(
-            self.ambient,
-            self.degree,
-            self.field,
-            {idx: v * scalar for idx, v in self.coeffs.items()},
-        )
+        coeffs = {idx: v * scalar for idx, v in self.coeffs.items()} if scalar else {}
+        return ExteriorForm._trusted(self.ambient, self.degree, self.field, coeffs)
 
     __rmul__ = __mul__
 
@@ -221,7 +236,6 @@ def _merge_sign(lhs, rhs):
 def wedge(a, b):
     """Exterior product; tuples sharing an index contribute nothing."""
     a._compatible(b)
-    field = a.field
     out = {}
     for idx_a, ca in a.coeffs.items():
         set_a = set(idx_a)
@@ -232,8 +246,9 @@ def wedge(a, b):
             term = ca * cb
             if sign < 0:
                 term = -term
-            out[merged] = out.get(merged, field.zero) + term
-    return ExteriorForm(a.ambient, a.degree + b.degree, field, out)
+            prev = out.get(merged)
+            out[merged] = term if prev is None else prev + term
+    return ExteriorForm._from_sums(a.ambient, a.degree + b.degree, a.field, out)
 
 
 def shuffle_eval(alpha, beta, args):
@@ -320,7 +335,7 @@ def d_apply(L, form):
             term = coeff * value
             prev = coeffs.get(J)
             coeffs[J] = term if prev is None else prev + term
-    return ExteriorForm(n, k + 1, L.field, coeffs)
+    return ExteriorForm._from_sums(n, k + 1, L.field, coeffs)
 
 
 class CoboundaryMatrix:
@@ -421,7 +436,8 @@ def horizontal_basis(L, h, k):
             rows.append(row)
     matrix = Matrix(L.field, len(rows), len(cols), [x for row in rows for x in row])
     _, kernel = rank_and_kernel(matrix)
-    return [form_from_vector(L.field, n, k, v) for v in kernel]
+    return [ExteriorForm._trusted(n, k, L.field, {I: x for I, x in zip(cols, v) if x})
+            for v in kernel]
 
 
 class CohomologyReport:

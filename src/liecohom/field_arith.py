@@ -186,9 +186,10 @@ class RationalFunction:
     Every operation returns the canonical form: numerator and denominator
     coprime, denominator monic, zero stored as 0/1.  A polynomial gcd is
     taken only where the result can need reducing.  Negation, reciprocals,
-    powers and constants are canonical by construction, a gcd with a
-    constant polynomial is 1, and products and sums of reduced fractions
-    follow Henrici's splitting (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1),
+    powers and constants are canonical by construction, a sum or difference
+    with a zero side is the other side, a gcd with a constant polynomial
+    is 1, and products and sums of reduced fractions follow Henrici's
+    splitting (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1),
     which takes gcds of the smaller cross terms and then needs no final one.
     """
 
@@ -255,6 +256,11 @@ class RationalFunction:
         if o is None:
             return NotImplemented
         a, b, c, d = self.num, self.den, o.num, o.den
+        # either side may be zero: the other one is canonical already
+        if a.is_zero:
+            return o
+        if c.is_zero:
+            return self
         if b.degree == 0 and d.degree == 0:
             return RationalFunction._reduced(self.var, a + c)
         g = poly_gcd(b, d) if b.degree > 0 and d.degree > 0 else _POLY_ONE
@@ -281,6 +287,8 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.num.is_zero:
+            return self
         return self + (-o)
 
     def __rsub__(self, other):

@@ -21,7 +21,6 @@ from .field_arith import (
     format_scalar,
     parse_scalar,
     rank,
-    solve_in_span,
 )
 
 
@@ -231,7 +230,14 @@ class QuotientData:
 
 
 def ideal_check(L, h):
-    """None if [g, h] lies in h; otherwise the first witness (i, w, [e_i, w])."""
+    """None if [g, h] lies in h; otherwise the first witness (i, w, [e_i, w]).
+
+    Brackets are taken in the order i = 1..n, then w along the basis of h.
+    One reduced echelon form of the columns [h | [e_i, w] in that order]
+    answers every membership question: a bracket column holds a pivot
+    exactly when it leaves the span of h and the brackets before it, so
+    the first bracket column with a pivot is the first bracket outside h.
+    """
     if h.ambient_dim != L.dim:
         raise DimensionMismatch(
             "subspace ambient dimension %d, algebra dimension %d"
@@ -239,12 +245,14 @@ def ideal_check(L, h):
         )
     if h.field != L.field:
         raise MixedFields("subspace and algebra over different fields")
-    for i in range(1, L.dim + 1):
-        ei = L.basis_vector(i)
-        for w in h.basis:
-            result = bracket(L, ei, w)
-            if solve_in_span(h.basis, result) is None:
-                return (i, w, result)
+    m = h.size
+    witnesses = [(i, w, bracket(L, L.basis_vector(i), w))
+                 for i in range(1, L.dim + 1) for w in h.basis]
+    columns = h.basis + [result for _, _, result in witnesses]
+    _, pivots = _rref([[v[r] for v in columns] for r in range(L.dim)], len(columns))
+    for p in pivots:
+        if p >= m:
+            return witnesses[p - m]
     return None
 
 

@@ -15,6 +15,7 @@ from math import comb
 from .ce_complex import (
     DEFAULT_MAX_DIM,
     ExteriorForm,
+    _reduce_against,
     basis_form,
     cohomology,
     d_apply,
@@ -31,7 +32,7 @@ from .errors import (
     MixedFields,
     ParseError,
 )
-from .field_arith import Matrix, parse_scalar, rank
+from .field_arith import _rref, parse_scalar
 from .lie_core import (
     _require_keys,
     algebra_from_json,
@@ -93,6 +94,27 @@ class DenseQuotientReport:
         return "DenseQuotientReport(%r, betti=%r)" % (self.algebra, self.report.betti)
 
 
+def _pulled_one_forms(projection):
+    """The 1-forms pi* t[j] = sum over a of pi[j][a] t[a], for j = 1..q."""
+    n, field = projection.cols, projection.field
+    return [
+        ExteriorForm._trusted(n, 1, field, {(a,): x for a, x in
+                                            enumerate(projection.row(j), start=1) if x})
+        for j in range(projection.rows)
+    ]
+
+
+def _combination(n, degree, field, terms):
+    """The form sum of c * f over the (c, f) pairs, all of one degree on F^n."""
+    sums = {}
+    for c, f in terms:
+        for idx, value in f.coeffs.items():
+            term = c * value
+            prev = sums.get(idx)
+            sums[idx] = term if prev is None else prev + term
+    return ExteriorForm._from_sums(n, degree, field, sums)
+
+
 def pullback_form(projection, sigma):
     """Pull a form on the quotient back along the projection.
 
@@ -107,17 +129,31 @@ def pullback_form(projection, sigma):
     if sigma.field != projection.field:
         raise MixedFields("form and projection over different fields")
     field = sigma.field
-    pulled = [
-        ExteriorForm(n, 1, field, {(a,): x for a, x in enumerate(projection.row(j), start=1)})
-        for j in range(q)
-    ]
-    out = ExteriorForm(n, sigma.degree, field)
+    pulled = _pulled_one_forms(projection)
+    unit = ExteriorForm._trusted(n, 0, field, {(): field.one})
+    terms = []
     for J, coeff in sigma.coeffs.items():
-        term = ExteriorForm(n, 0, field, {(): coeff})
+        term = unit
         for j in J:
             term = wedge(term, pulled[j - 1])
-        out = out + term
-    return out
+        terms.append((coeff, term))
+    return _combination(n, sigma.degree, field, terms)
+
+
+def _pullback_tables(projection):
+    """Yield {J: pullback of t[J]} over the increasing J of degree 0, 1, ..., q.
+
+    Each degree comes from the one before with a single wedge per form:
+    pb t[J] = pb t[J minus its last index] ^ pi* t[last index].
+    """
+    n, field = projection.cols, projection.field
+    pulled = _pulled_one_forms(projection)
+    table = {(): ExteriorForm._trusted(n, 0, field, {(): field.one})}
+    yield table
+    for k in range(1, projection.rows + 1):
+        table = {J: wedge(table[J[:-1]], pulled[J[-1] - 1])
+                 for J in index_tuples(projection.rows, k)}
+        yield table
 
 
 def chain_iso_check(L, h):
@@ -129,10 +165,18 @@ def chain_iso_check(L, h):
     inside the horizontal space; and d of a pullback equals the pullback of
     d.  Returns None on success, else (degree, form, reason) for the first
     failure.
+
+    The pullback of every basis form is built once, and one reduced
+    echelon form of the pulled-back basis answers both span questions: it
+    is independent when it has C(q, k) pivots, and then, with the
+    horizontal space of that same dimension, the two spaces agree exactly
+    when every horizontal form reduces to zero against it.
     """
     qd = quotient_algebra(L, h)
     n, q = L.dim, qd.quotient.dim
     field = L.field
+    tables = _pullback_tables(qd.projection)
+    table = next(tables)
     for k in range(n + 1):
         horizontal = horizontal_basis(L, h, k)
         expected = comb(q, k)
@@ -141,26 +185,25 @@ def chain_iso_check(L, h):
                     % (len(horizontal), expected))
         if k > q:
             continue
-        pulled = []
-        for I in index_tuples(q, k):
+        upper = next(tables, {})
+        tuples = index_tuples(q, k)
+        rows, pivots = _rref([form_to_vector(table[I]) for I in tuples], comb(n, k))
+        if len(pivots) != expected:
+            return (k, None, "pulled-back basis is linearly dependent")
+        echelon = list(zip(pivots, rows))
+        for f in horizontal:
+            if any(_reduce_against(echelon, form_to_vector(f))):
+                return (k, basis_form(field, q, tuples[0]),
+                        "pullback leaves the horizontal subspace")
+        for I in tuples:
             sigma = basis_form(field, q, I)
-            pb = pullback_form(qd.projection, sigma)
-            pulled.append((sigma, pb))
-        hor_vectors = [form_to_vector(f) for f in horizontal]
-        pb_vectors = [form_to_vector(pb) for _, pb in pulled]
-        width = comb(n, k)
-        if pb_vectors:
-            if rank(Matrix.from_rows(field, pb_vectors, cols=width)) != len(pb_vectors):
-                return (k, None, "pulled-back basis is linearly dependent")
-            combined = hor_vectors + pb_vectors
-            if rank(Matrix.from_rows(field, combined, cols=width)) != expected:
-                sigma, pb = pulled[0]
-                return (k, sigma, "pullback leaves the horizontal subspace")
-        for sigma, pb in pulled:
-            lhs = d_apply(L, pb)
-            rhs = pullback_form(qd.projection, d_apply(qd.quotient, sigma))
+            lhs = d_apply(L, table[I])
+            d_sigma = d_apply(qd.quotient, sigma)
+            rhs = _combination(n, k + 1, field,
+                               [(c, upper[J]) for J, c in d_sigma.coeffs.items()])
             if lhs != rhs:
                 return (k, sigma, "d does not commute with pullback")
+        table = upper
     return None
 
 

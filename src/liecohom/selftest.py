@@ -25,9 +25,7 @@ from .ce_complex import (
     leibniz_check,
     shuffle_eval,
     wedge,
-    zero_form,
 )
-from .errors import NotAnIdeal
 from .field_arith import (
     Matrix,
     QQ,
@@ -50,7 +48,6 @@ from .quotient_pipeline import (
     DenseQuotientInput,
     chain_iso_check,
     dense_quotient_cohomology,
-    pullback_form,
 )
 
 

@@ -30,7 +30,7 @@ from liecohom.errors import (
     DimensionMismatch,
     JacobiViolation,
 )
-from liecohom.field_arith import Field, Matrix, QQ, rank
+from liecohom.field_arith import Field, Matrix, QQ, RationalFunction, rank
 from liecohom.lie_core import (
     LieAlgebra,
     Subspace,
@@ -508,3 +508,61 @@ def test_form_vector_round_trip():
         k = rng.randint(0, n)
         f = random_form(rng, n, k)
         assert form_from_vector(QQ, n, k, form_to_vector(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# results that skip the constructor's checks
+
+def assert_canonical(f):
+    # what the validating constructor builds from the same data, nonzero
+    # scalars of the form's field, keys in sorted order
+    assert f == ExteriorForm(f.ambient, f.degree, f.field, f.coeffs)
+    for v in f.coeffs.values():
+        if f.field.is_rationals:
+            assert type(v) is Fraction
+        else:
+            assert type(v) is RationalFunction and v.var == f.field.var
+        assert v
+    assert list(f.coeffs) == sorted(f.coeffs)
+
+
+def test_trusted_results_match_the_validating_constructor():
+    rng = random.Random(41)
+    cases = [
+        (heisenberg_family(2), Subspace(5, [[0, 0, 0, 0, 1]], QQ),
+         lambda n, k: random_form(rng, n, k), (0, 1, -2, Fraction(1, 3))),
+        (filiform(5), Subspace(5, [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], QQ),
+         lambda n, k: random_form(rng, n, k), (0, 1, Fraction(-3, 2))),
+        (solv(5), Subspace(5, [[0, 0, 0, 0, 1]], FA),
+         lambda n, k: random_qa_form(rng, n, k), (0, 1, A, 1 / (A + 1))),
+        (LieAlgebra.abelian("torus_4", 4, FA),
+         torus_ideal_from_directions(4, [[1, A, 0, 0], [0, 0, 1, 2 * A - 1]], FA),
+         lambda n, k: random_qa_form(rng, n, k), (0, -1, A * A)),
+    ]
+    zero_results = partial_cancellations = 0
+    for L, h, make, scalars in cases:
+        n = L.dim
+        for k in range(n + 1):
+            for f in horizontal_basis(L, h, k):
+                assert_canonical(f)
+        for _ in range(12):
+            k = rng.randint(0, n)
+            f, g = make(n, k), make(n, k)
+            # g_half cancels half of the terms of f
+            half = ExteriorForm(n, k, L.field,
+                                {idx: -v for idx, v in list(f.coeffs.items())[::2]})
+            results = [f + g, f - g, g - f, -f, f + (-f), f - f, f + half,
+                       zero_form(L.field, n, k) + f, d_apply(L, f),
+                       d_apply(L, d_apply(L, f)) if k < n else -f]
+            results += [f * c for c in scalars] + [c * g for c in scalars]
+            j = rng.randint(0, n - k)
+            results += [wedge(f, make(n, j)), wedge(make(n, j), g)]
+            if n:
+                x = make(n, 1)
+                results.append(wedge(x, x))
+            for r in results:
+                assert_canonical(r)
+            zero_results += sum(r.is_zero for r in results)
+            mixed = f + half
+            partial_cancellations += 0 < len(mixed.coeffs) < len(f.coeffs)
+    assert zero_results and partial_cancellations

@@ -6,8 +6,8 @@ from itertools import combinations
 import pytest
 
 import _oracle
-from _families import filiform, heisenberg as heisenberg_family, strictly_upper
-from liecohom.catalog import selftest_entries
+from _families import filiform, heisenberg as heisenberg_family, solv, strictly_upper
+from liecohom.catalog import catalog_entry, catalog_keys, selftest_entries
 from liecohom.errors import (
     DimensionMismatch,
     MixedFields,
@@ -158,6 +158,64 @@ def test_ideal_check_trivial_cases():
     assert ideal_check(L, Subspace.zero(3, QQ)) is None
     full = Subspace(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], QQ)
     assert ideal_check(L, full) is None
+
+
+def _failing_brackets(L, h):
+    """Every (i, w, [e_i, w]) outside h, in order, by rank against h."""
+    return [(i, w, result)
+            for i in range(1, L.dim + 1) for w in h.basis
+            for result in [bracket(L, L.basis_vector(i), w)]
+            if _oracle.gauss_rank(h.basis + [result]) > h.size]
+
+
+def _random_subspace(rng, n, field):
+    a = field.generator() if not field.is_rationals else 0
+    while True:
+        size = rng.randint(0, min(n, 4))
+        vectors = [[rng.choice((0, 0, 0, 1, -1, 2)) + (a if rng.random() < 0.1 else 0)
+                    for _ in range(n)] for _ in range(size)]
+        try:
+            return Subspace(n, vectors, field)
+        except ValueError:
+            continue
+
+
+def test_ideal_check_matches_bruteforce_witness():
+    rng = random.Random(23)
+    h7, L7, solv6 = heisenberg_family(3), filiform(7), solv(6)
+    e = lambda n, *idx: [1 if r in idx else 0 for r in range(1, n + 1)]
+    cases = [
+        # [e4, e1 + e2] = [e5, e1 + e2] = -e7: a failing bracket repeats
+        (h7, Subspace(7, [e(7, 1, 2)], QQ)),
+        # the first three brackets lie in h, [e2, e5] = e7 does not
+        (h7, Subspace(7, [e(7, 6), e(7, 5)], QQ)),
+        (h7, Subspace(7, [e(7, 7)], QQ)),
+        (L7, Subspace(7, [e(7, 6), e(7, 7)], QQ)),
+        (L7, Subspace(7, [e(7, 3), e(7, 5)], QQ)),
+        (solv6, Subspace(6, [e(6, 2, 3)], solv6.field)),
+        (solv6, Subspace(6, [e(6, 2), e(6, 6)], solv6.field)),
+    ]
+    algebras = [catalog_entry(key).algebra for key in catalog_keys()]
+    algebras += [h7, L7, solv6]
+    for L in algebras:
+        for _ in range(8):
+            cases.append((L, _random_subspace(rng, L.dim, L.field)))
+    seen = {"ideal": 0, "several": 0, "repeated": 0, "late": 0, "q_a": 0}
+    for L, h in cases:
+        failing = _failing_brackets(L, h)
+        witness = ideal_check(L, h)
+        if not failing:
+            assert witness is None
+            seen["ideal"] += 0 < h.size < L.dim
+            continue
+        assert witness == failing[0]
+        results = [result for _, _, result in failing]
+        seen["several"] += len(failing) > 1
+        seen["repeated"] += any(results.count(r) > 1 for r in results)
+        first = [(i, w) for i in range(1, L.dim + 1) for w in h.basis]
+        seen["late"] += first.index(witness[:2]) >= 3
+        seen["q_a"] += not L.field.is_rationals
+    assert all(seen.values()), seen
 
 
 def test_quotient_heisenberg_by_center():

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 import _oracle
-from _families import heisenberg as heisenberg_family
+from _families import filiform, heisenberg as heisenberg_family
 from liecohom import ce_complex, field_arith, lie_core, quotient_pipeline
 from liecohom.ce_complex import (
     basis_form,
@@ -26,6 +26,7 @@ from liecohom.errors import (
 from liecohom.field_arith import Field, Matrix, QQ
 from liecohom.lie_core import (
     LieAlgebra,
+    QuotientData,
     Subspace,
     algebra_to_json,
     quotient_algebra,
@@ -110,16 +111,19 @@ def test_pullback_evaluation_property():
         assert evaluate(pb, args) == evaluate(sigma, projected)
 
 
-def test_pullback_non_coordinate_projection_against_oracle():
-    # coefficient on I of the pullback of sum c_J t[J] is
-    # sum c_J t[J](pi e_i for i in I), by permutation sums
-    rng = random.Random(17)
-    projections = [
+def non_coordinate_projections(rng):
+    return [
         Matrix.from_rows(QQ, [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                                for _ in range(5)] for _ in range(3)]),
         Matrix.from_rows(FA, [[1, A, 0, 2], [1 / A, 0, A + 1, -1], [A * A, 1, 1, 1 / (A - 1)]]),
     ]
-    for pi in projections:
+
+
+def test_pullback_non_coordinate_projection_against_oracle():
+    # coefficient on I of the pullback of sum c_J t[J] is
+    # sum c_J t[J](pi e_i for i in I), by permutation sums
+    rng = random.Random(17)
+    for pi in non_coordinate_projections(rng):
         q, n, field = pi.rows, pi.cols, pi.field
         images = [pi.col(a) for a in range(n)]
         for k in range(q + 1):
@@ -136,6 +140,21 @@ def test_pullback_non_coordinate_projection_against_oracle():
                          for J, c in sigma.coeffs.items()),
                         field.zero)
                     assert pb.coeffs.get(I, field.zero) == expected
+
+
+def test_pullback_tables_match_pullback_form():
+    # the table wedges one more pulled-back 1-form onto the table of the
+    # degree below; pullback_form builds every basis form from scratch
+    projections = non_coordinate_projections(random.Random(17))
+    projections.append(quotient_algebra(filiform(7), l7_top_ideal()).projection)
+    for pi in projections:
+        q, field = pi.rows, pi.field
+        tables = list(quotient_pipeline._pullback_tables(pi))
+        assert len(tables) == q + 1
+        for k, table in enumerate(tables):
+            assert list(table) == index_tuples(q, k)
+            for J, pb in table.items():
+                assert pb == pullback_form(pi, basis_form(field, q, J))
 
 
 def test_pullback_errors():
@@ -172,6 +191,78 @@ def test_chain_iso_nonabelian_quotient():
     L = so3_plus_line()
     h = Subspace(4, [[0, 0, 0, 1]], QQ)
     assert chain_iso_check(L, h) is None
+    assert chain_iso_check(filiform(7), l7_top_ideal()) is None
+
+
+def l7_top_ideal():
+    # span(e6, e7) in L_7; the quotient is L_5, which is not abelian
+    return Subspace(7, [[0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 1]], QQ)
+
+
+def doctored_horizontal(monkeypatch, degree, change):
+    real = quotient_pipeline.horizontal_basis
+
+    def patched(L, h, k):
+        basis = real(L, h, k)
+        return change(L, basis) if k == degree else basis
+
+    monkeypatch.setattr(quotient_pipeline, "horizontal_basis", patched)
+
+
+def doctored_projection(monkeypatch, change):
+    real = quotient_pipeline.quotient_algebra
+
+    def patched(L, h):
+        qd = real(L, h)
+        rows = change(qd.projection.to_rows())
+        return QuotientData(qd.quotient, Matrix.from_rows(L.field, rows), qd.section)
+
+    monkeypatch.setattr(quotient_pipeline, "quotient_algebra", patched)
+
+
+def test_chain_iso_reports_short_horizontal_space(monkeypatch):
+    doctored_horizontal(monkeypatch, 2, lambda L, basis: basis[:-1])
+    assert chain_iso_check(filiform(7), l7_top_ideal()) == (
+        2, None, "horizontal dimension 9, expected 10")
+
+
+def test_chain_iso_reports_pullback_outside_horizontal_space(monkeypatch):
+    # t[1,7] does not vanish on e7 in h
+    doctored_horizontal(monkeypatch, 2, lambda L, basis: basis[:-1] + [
+        basis_form(QQ, 7, (1, 7))])
+    assert chain_iso_check(filiform(7), l7_top_ideal()) == (
+        2, basis_form(QQ, 5, (1, 2)), "pullback leaves the horizontal subspace")
+
+
+def test_chain_iso_reports_pullback_outside_horizontal_space_over_q_a(monkeypatch):
+    # t[2] does not vanish on (1, a)
+    L, h = torus_line()
+    doctored_horizontal(monkeypatch, 1, lambda L, basis: basis[:-1] + [
+        basis_form(FA, 2, (2,))])
+    assert chain_iso_check(L, h) == (
+        1, basis_form(FA, 1, (1,)), "pullback leaves the horizontal subspace")
+
+
+def test_chain_iso_reports_dependent_pullbacks(monkeypatch):
+    def repeat_first_row(rows):
+        rows[1] = list(rows[0])
+        return rows
+
+    doctored_projection(monkeypatch, repeat_first_row)
+    assert chain_iso_check(filiform(7), l7_top_ideal()) == (
+        1, None, "pulled-back basis is linearly dependent")
+
+
+def test_chain_iso_reports_d_not_commuting(monkeypatch):
+    # doubling pi* t[3] doubles d pb t[3] = -pb t[1,2], but pb d t[3] is
+    # -pb t[1,2] with t[1] and t[2] pulled back as before
+    def double_third_row(rows):
+        rows[2] = [2 * x for x in rows[2]]
+        return rows
+
+    doctored_projection(monkeypatch, double_third_row)
+    assert chain_iso_check(filiform(7), l7_top_ideal()) == (
+        1, basis_form(QQ, 5, (3,)), "d does not commute with pullback")
 
 
 # ---------------------------------------------------------------------------
