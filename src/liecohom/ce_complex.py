@@ -404,9 +404,21 @@ def leibniz_check(L, one_forms):
 def horizontal_basis(L, h, k):
     """Basis of the degree-k forms killed by contraction with every vector of h.
 
-    These are exactly the pullbacks of forms on the quotient by h; the
-    basis comes out of the kernel of the contraction system in reduced
-    echelon order.
+    These are exactly the pullbacks of forms on the quotient by h.  The
+    degree-1 contraction system is the matrix of h's basis; its reduced
+    echelon kernel gives one 1-form alpha_f per free column f, equal to 1
+    at f and 0 at every other free column, and nonzero elsewhere only at
+    pivot columns left of f.  The basis in degree k is
+    alpha_S = alpha_s1 ^ ... ^ alpha_sk for the k-subsets S of free
+    columns, in lex order.  This is the reduced echelon kernel basis of the
+    degree-k contraction system, with no degree-k elimination:
+
+    - alpha_S is horizontal, since contraction is a derivation, and every
+      term of alpha_S other than t[S] swaps some s_i for a pivot column,
+      so alpha_S is 1 at S and 0 at every other free tuple;
+    - each such other term is lex-smaller than S, so every S is a free
+      tuple of the degree-k system, and as there are C(n - dim h, k) of
+      them they are all the free tuples, each with its unique kernel vector.
     """
     n = L.dim
     if h.ambient_dim != n:
@@ -417,27 +429,19 @@ def horizontal_basis(L, h, k):
         raise DegreeOutOfRange("degree %d out of range for dimension %d" % (k, n))
     if k == 0:
         return [ExteriorForm(n, 0, L.field, {(): L.field.one})]
-    cols = index_tuples(n, k)
-    col_index = {I: c for c, I in enumerate(cols)}
-    zero = L.field.zero
-    rows = []
-    for w in h.basis:
-        support = [(a, x) for a, x in enumerate(w, start=1) if x]
-        for T in index_tuples(n, k - 1):
-            # the coefficient of t[T] in the contraction of t[I] with w is
-            # (-1)^p w_a when I = T + {a} with a in position p of I
-            row = [zero] * len(cols)
-            for a, x in support:
-                if a in T:
-                    continue
-                p = sum(1 for b in T if b < a)
-                I = T[:p] + (a,) + T[p:]
-                row[col_index[I]] = -x if p % 2 else x
-            rows.append(row)
-    matrix = Matrix(L.field, len(rows), len(cols), [x for row in rows for x in row])
-    _, kernel = rank_and_kernel(matrix)
-    return [ExteriorForm._trusted(n, k, L.field, {I: x for I, x in zip(cols, v) if x})
-            for v in kernel]
+    _, kernel = rank_and_kernel(Matrix(L.field, h.size, n, [x for w in h.basis for x in w]))
+    alphas = [ExteriorForm._trusted(n, 1, L.field,
+                                    {(a,): x for a, x in enumerate(v, start=1) if x})
+              for v in kernel]
+    spare = len(alphas) - k
+    if spare < 0:
+        return []
+    # layer j holds the wedges over the j-subsets that extend to a k-subset
+    layer = {(i,): alpha for i, alpha in enumerate(alphas[:spare + 1])}
+    for j in range(2, k + 1):
+        layer = {S: wedge(layer[S[:-1]], alphas[S[-1]])
+                 for S in combinations(range(spare + j), j)}
+    return list(layer.values())
 
 
 class CohomologyReport:

@@ -9,6 +9,7 @@ report would be wrong, so none is printed).
 
 import argparse
 import json
+import math
 import sys
 
 from .catalog import catalog_entry, catalog_keys, describe
@@ -247,6 +248,20 @@ def _seed_type(text):
     return value
 
 
+def _max_dim_type(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("dimension cap must be nonnegative")
+    return value
+
+
+def _positive_float_type(text):
+    value = float(text)
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError("must be positive and finite")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="liecohom",
@@ -264,7 +279,7 @@ def build_parser():
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--representatives", action="store_true",
                    help="print representative cocycles")
-    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
+    p.add_argument("--max-dim", type=_max_dim_type, default=DEFAULT_MAX_DIM,
                    help="dimension cap (default %(default)s)")
     p.set_defaults(func=cmd_cohomology)
 
@@ -273,7 +288,7 @@ def build_parser():
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--representatives", action="store_true",
                    help="print representative cocycles")
-    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
+    p.add_argument("--max-dim", type=_max_dim_type, default=DEFAULT_MAX_DIM,
                    help="dimension cap (default %(default)s)")
     p.add_argument("--no-chain-iso", action="store_true",
                    help="skip the chain-level isomorphism verification")
@@ -292,9 +307,9 @@ def build_parser():
     p = sub.add_parser("selftest", help="run the built-in property suites")
     p.add_argument("--seed", type=_seed_type, default=0,
                    help="randomness seed (default %(default)s)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    p.add_argument("--tol", type=_positive_float_type, default=DEFAULT_TOL,
                    help="numeric tolerance (default %(default)s)")
-    p.add_argument("--step", type=float, default=DEFAULT_STEP,
+    p.add_argument("--step", type=_positive_float_type, default=DEFAULT_STEP,
                    help="finite-difference step (default %(default)s)")
     p.set_defaults(func=cmd_selftest)
 

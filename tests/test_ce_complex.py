@@ -7,6 +7,7 @@ import pytest
 
 import _oracle
 from _families import filiform, heisenberg as heisenberg_family, rebased, solv, strictly_upper
+from liecohom import ce_complex
 from liecohom.ce_complex import (
     ExteriorForm,
     basis_form,
@@ -30,7 +31,7 @@ from liecohom.errors import (
     DimensionMismatch,
     JacobiViolation,
 )
-from liecohom.field_arith import Field, Matrix, QQ, RationalFunction, rank
+from liecohom.field_arith import Field, Matrix, QQ, RationalFunction, rank, rank_and_kernel
 from liecohom.lie_core import (
     LieAlgebra,
     Subspace,
@@ -399,6 +400,98 @@ def test_horizontal_forms_vanish_on_subspace():
             args = [[Fraction(0), Fraction(0), Fraction(rng.randint(1, 5))]]
             args += [random_vector(rng, 3) for _ in range(k - 1)]
             assert evaluate(f, args) == 0
+
+
+def contraction_kernel_basis(L, h, k):
+    """The horizontal basis by definition: the reduced echelon kernel of the
+    degree-k contraction system, one row per (w, T) with entry (-1)^p w_a
+    at I = T + {a}, a in position p of I."""
+    n = L.dim
+    if k == 0:
+        return [ExteriorForm(n, 0, L.field, {(): L.field.one})]
+    cols = index_tuples(n, k)
+    col_index = {I: c for c, I in enumerate(cols)}
+    rows = []
+    for w in h.basis:
+        for T in index_tuples(n, k - 1):
+            row = [L.field.zero] * len(cols)
+            for a, x in enumerate(w, start=1):
+                if x and a not in T:
+                    p = sum(1 for b in T if b < a)
+                    row[col_index[T[:p] + (a,) + T[p:]]] = -x if p % 2 else x
+            rows.append(row)
+    matrix = Matrix(L.field, len(rows), len(cols), [x for row in rows for x in row])
+    _, kernel = rank_and_kernel(matrix)
+    return [ExteriorForm._trusted(n, k, L.field, {I: x for I, x in zip(cols, v) if x})
+            for v in kernel]
+
+
+def random_subspace(rng, L, m):
+    """m independent random vectors in L, mixing sparse and dense rows."""
+    n, field = L.dim, L.field
+    while True:
+        basis = []
+        for _ in range(m):
+            density = rng.choice((0.3, 0.7, 1.0))
+            row = []
+            for _ in range(n):
+                if rng.random() >= density:
+                    row.append(0)
+                elif field == QQ:
+                    row.append(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                else:
+                    row.append((rng.randint(-2, 2) * A + rng.randint(-3, 3))
+                               / rng.randint(1, 3))
+            basis.append(row)
+        if rank(Matrix.from_rows(field, basis, n)) == m:
+            return Subspace(n, basis, field)
+
+
+def exactness_cases():
+    rng = random.Random(61)
+    for n in range(1, 8):
+        algebras = [filiform(n) if n >= 3 else LieAlgebra.abelian("q%d" % n, n, QQ),
+                    solv(n) if n >= 2 else LieAlgebra.abelian("qa%d" % n, n, FA)]
+        for L in algebras:
+            dims = {0, n, rng.randint(1, n), rng.randint(0, n)}
+            if L.field == FA and n > 5:
+                # the reference eliminates dim h * C(n, k-1) rows over Q(a)
+                dims = {0, 1, rng.randint(2, 3)}
+            for m in sorted(dims):
+                yield L, random_subspace(rng, L, m)
+
+
+def test_horizontal_basis_equals_contraction_kernel_exactly():
+    # same tuples, same scalars of the same types, in the same order
+    count = 0
+    for L, h in exactness_cases():
+        for k in range(L.dim + 1):
+            got = horizontal_basis(L, h, k)
+            want = contraction_kernel_basis(L, h, k)
+            assert len(got) == len(want) == comb(L.dim - h.size, k)
+            for f, g in zip(got, want):
+                assert (f.ambient, f.degree, f.field) == (g.ambient, g.degree, g.field)
+                assert list(f.coeffs.items()) == list(g.coeffs.items())
+                assert [type(x) for x in f.coeffs.values()] == \
+                    [type(x) for x in g.coeffs.values()]
+            count += len(got)
+    assert count > 500
+
+
+def test_horizontal_basis_eliminates_only_the_basis_of_h(monkeypatch):
+    shapes = []
+    real = ce_complex.rank_and_kernel
+
+    def recording(m):
+        shapes.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(ce_complex, "rank_and_kernel", recording)
+    for L, h in exactness_cases():
+        for k in range(L.dim + 1):
+            del shapes[:]
+            horizontal_basis(L, h, k)
+            assert all(shape == (h.size, L.dim) for shape in shapes), (L.name, k, shapes)
 
 
 # ---------------------------------------------------------------------------

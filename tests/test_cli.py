@@ -175,6 +175,9 @@ def test_cohomology_dimension_cap(tmp_path, capsys):
     assert main(["cohomology", "--max-dim", "2", path]) == 4
     err = capsys.readouterr().err
     assert "cap" in err
+    # a zero cap is a cap, not a usage error
+    assert main(["cohomology", "--max-dim", "0", path]) == 4
+    assert "exceeds cap 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +314,28 @@ def test_argparse_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc_info:
         main(["selftest", "--seed", "-1"])
     assert exc_info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--max-dim", "-1", "doc.json"],
+    ["quotient", "--max-dim", "-1", "doc.json"],
+    ["selftest", "--step", "0"],
+    ["selftest", "--step", "nan"],
+    ["selftest", "--step", "-1e-6"],
+    ["selftest", "--step", "inf"],
+    ["selftest", "--tol", "-1"],
+    ["selftest", "--tol", "nan"],
+    ["selftest", "--tol", "0"],
+    ["selftest", "--tol", "inf"],
+])
+def test_bad_numeric_options_are_usage_errors(argv, capsys):
+    # rejected while parsing, before any document is read or suite is run
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[1] in captured.err
 
 
 def test_exact_commands_do_not_load_numpy(tmp_path):
