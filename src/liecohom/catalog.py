@@ -136,15 +136,15 @@ def describe(key):
     return _DESCRIPTIONS.get(key, "")
 
 
-def catalog_entry(key, max_dim=DEFAULT_MAX_DIM):
+def catalog_entry(key):
     """Resolve a catalog key to a CatalogEntry; unknown keys raise ParseError."""
     m = _ABELIAN_RE.match(key)
     if key == "abelian_n":
         m = _ABELIAN_RE.match("abelian_3")
     if m:
         n = int(m.group(1))
-        if n > max_dim:
-            raise ParseError("abelian dimension %d exceeds cap %d" % (n, max_dim))
+        if n > DEFAULT_MAX_DIM:
+            raise ParseError("abelian dimension %d exceeds cap %d" % (n, DEFAULT_MAX_DIM))
         doc = _abelian_doc(n)
         return CatalogEntry(
             key="abelian_%d" % n,

@@ -537,14 +537,9 @@ def cohomology(L, max_dim=DEFAULT_MAX_DIM):
 
         echelon = []
         if k > 0:
-            image_rows, _ = _rref(
-                [diffs[k - 1].matrix.col(j) for j in range(diffs[k - 1].matrix.cols)],
-                comb(n, k),
-            )
-            for row in image_rows:
-                lead = _leading_index(row)
-                if lead is not None:
-                    echelon.append((lead, row))
+            image = diffs[k - 1].matrix
+            rows, pivots = _rref([image.col(j) for j in range(image.cols)], comb(n, k))
+            echelon = list(zip(pivots, rows))
         reps = []
         for vec in kernels[k]:
             reduced = _reduce_against(echelon, vec)

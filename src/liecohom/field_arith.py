@@ -441,12 +441,6 @@ class Field:
             return RationalFunction._reduced(self.var, Poly.const(value))
         raise MixedFields("expected an element of Q(%s), got %r" % (self.var, value))
 
-    def parse(self, text):
-        return parse_scalar(text, self)
-
-    def format(self, value):
-        return format_scalar(value)
-
     def __eq__(self, other):
         if not isinstance(other, Field):
             return NotImplemented
@@ -640,7 +634,11 @@ def _parse_atom(toks, field):
 # matrices
 
 class Matrix:
-    """Immutable dense matrix over a single field; entries row-major."""
+    """Immutable dense matrix over a single field; entries row-major.
+
+    A container with no matrix algebra: ranks, kernels, solving in a span
+    and quotient projections all come from _rref.
+    """
 
     __slots__ = ("field", "rows", "cols", "entries")
 
@@ -664,16 +662,6 @@ class Matrix:
         flat = [field.coerce(x) for r in rows for x in r]
         return cls(field, len(rows), cols, flat)
 
-    @classmethod
-    def identity(cls, field, n):
-        zero, one = field.zero, field.one
-        flat = [one if i == j else zero for i in range(n) for j in range(n)]
-        return cls(field, n, n, flat)
-
-    @classmethod
-    def zeros(cls, field, rows, cols):
-        return cls(field, rows, cols, [field.zero] * (rows * cols))
-
     @property
     def shape(self):
         return (self.rows, self.cols)
@@ -690,10 +678,6 @@ class Matrix:
     def to_rows(self):
         return [self.row(i) for i in range(self.rows)]
 
-    def transpose(self):
-        flat = [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-        return Matrix(self.field, self.cols, self.rows, flat)
-
     def mul_vec(self, vec):
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length %d, expected %d" % (len(vec), self.cols))
@@ -708,47 +692,6 @@ class Matrix:
             out.append(acc)
         return out
 
-    def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.field != other.field:
-            raise MixedFields("matrix product over different fields")
-        if self.cols != other.rows:
-            raise DimensionMismatch("inner dimensions differ")
-        zero = self.field.zero
-        flat = []
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[base + k]
-                    if a:
-                        b = other.entries[k * other.cols + j]
-                        if b:
-                            acc = acc + a * b
-                flat.append(acc)
-        return Matrix(self.field, self.rows, other.cols, flat)
-
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.field != other.field:
-            raise MixedFields("matrix sum over different fields")
-        if self.shape != other.shape:
-            raise DimensionMismatch("shapes differ")
-        flat = [a + b for a, b in zip(self.entries, other.entries)]
-        return Matrix(self.field, self.rows, self.cols, flat)
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self + Matrix(other.field, other.rows, other.cols, [-x for x in other.entries])
-
-    @property
-    def is_zero(self):
-        return not any(self.entries)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -757,9 +700,6 @@ class Matrix:
             and self.shape == other.shape
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return "Matrix(%r, %dx%d)" % (self.field, self.rows, self.cols)

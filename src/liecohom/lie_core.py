@@ -20,7 +20,6 @@ from .field_arith import (
     field_of,
     format_scalar,
     parse_scalar,
-    rank,
 )
 
 
@@ -175,7 +174,7 @@ class Subspace:
                     % (len(v), ambient_dim)
                 )
         basis = [[field.coerce(x) for x in v] for v in basis]
-        if basis and rank(Matrix.from_rows(field, basis)) != len(basis):
+        if basis and len(_rref(basis, ambient_dim)[1]) != len(basis):
             raise ValueError("subspace basis is linearly dependent")
         self.ambient_dim = ambient_dim
         self.field = field
@@ -285,10 +284,8 @@ def quotient_algebra(L, h):
 
     table = {}
     for a in range(1, q + 1):
-        xa = L.basis_vector(chosen[a - 1])
         for b in range(a + 1, q + 1):
-            xb = L.basis_vector(chosen[b - 1])
-            image = projection.mul_vec(bracket(L, xa, xb))
+            image = projection.mul_vec(L.bracket_basis(chosen[a - 1], chosen[b - 1]))
             terms = {k + 1: c for k, c in enumerate(image) if c}
             if terms:
                 table[(a, b)] = terms
@@ -359,13 +356,18 @@ def _require_keys(doc, required, optional=(), what="document"):
         raise ParseError("missing field(s) %s in %s" % (sorted(missing), what))
 
 
+def _is_json_int(value):
+    """True for a JSON integer; JSON true and false load as Python bools."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def algebra_from_json(doc):
     _require_keys(doc, ("name", "dimension", "field", "brackets"), what="algebra")
     name = doc["name"]
     if not isinstance(name, str):
         raise ParseError("algebra name must be a string")
     dim = doc["dimension"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+    if not _is_json_int(dim) or dim < 0:
         raise ParseError("dimension must be a nonnegative integer")
     field = field_from_json(doc["field"])
     entries = doc["brackets"]
@@ -375,7 +377,7 @@ def algebra_from_json(doc):
     for entry in entries:
         _require_keys(entry, ("i", "j", "terms"), what="bracket entry")
         i, j = entry["i"], entry["j"]
-        if not (isinstance(i, int) and isinstance(j, int)) or i >= j:
+        if not (_is_json_int(i) and _is_json_int(j)) or i >= j:
             raise ParseError("bracket entry needs integer indices with i < j")
         if (i, j) in table:
             raise ParseError("duplicate bracket pair (%d, %d)" % (i, j))
@@ -385,7 +387,7 @@ def algebra_from_json(doc):
         for term in entry["terms"]:
             _require_keys(term, ("k", "coeff"), what="bracket term")
             k = term["k"]
-            if not isinstance(k, int):
+            if not _is_json_int(k):
                 raise ParseError("term index k must be an integer")
             if k in terms:
                 raise ParseError("duplicate term index %d in pair (%d, %d)" % (k, i, j))

@@ -118,7 +118,7 @@ def suite_linear_algebra(rng, tol, step):
         r, kernel = rank_and_kernel(m)
         if r != _fraction_free_rank(m):
             raise SuiteFailure("echelon rank and fraction-free rank disagree")
-        if r != rank(m.transpose()):
+        if r != rank(Matrix.from_rows(QQ, [m.col(j) for j in range(m.cols)], cols=m.rows)):
             raise SuiteFailure("rank differs from rank of the transpose")
         if r + len(kernel) != cols:
             raise SuiteFailure("rank plus kernel dimension misses the column count")
@@ -221,9 +221,9 @@ def suite_quotient(rng, tol, step):
         qd = quotient_algebra(L, h)
         if jacobi_check(qd.quotient):
             raise SuiteFailure("quotient of %s fails Jacobi" % L.name)
-        prod = qd.projection * qd.section
-        if prod != Matrix.identity(L.field, qd.quotient.dim):
-            raise SuiteFailure("projection is not a left inverse of the section")
+        for b in range(1, qd.quotient.dim + 1):
+            if qd.projection.mul_vec(qd.section.col(b - 1)) != qd.quotient.basis_vector(b):
+                raise SuiteFailure("projection is not a left inverse of the section")
         for w in h.basis:
             if any(qd.projection.mul_vec(w)):
                 raise SuiteFailure("projection does not kill the ideal")
@@ -246,15 +246,15 @@ def suite_d_squared(rng, tol, step):
         for k in range(L.dim):
             dk = ce_differential(L, k).matrix
             dk1 = ce_differential(L, k + 1).matrix
-            if not (dk1 * dk).is_zero:
+            if any(any(dk1.mul_vec(dk.col(j))) for j in range(dk.cols)):
                 raise SuiteFailure("d squared nonzero on %s in degree %d" % (L.name, k))
             checks += 1
     return checks
 
 
-def suite_shuffle(rng, tol, step, instances=1000):
+def suite_shuffle(rng, tol, step):
     checks = 0
-    for _ in range(instances):
+    for _ in range(1000):
         n = rng.randint(2, 5)
         beta_deg = rng.randint(0, n - 1)
         alpha = _random_form(rng, QQ, n, 2)

@@ -36,8 +36,6 @@ def test_abelian_family_respects_cap():
     assert catalog_entry("abelian_20").algebra.dim == 20
     with pytest.raises(ParseError):
         catalog_entry("abelian_21")
-    with pytest.raises(ParseError):
-        catalog_entry("abelian_7", max_dim=6)
 
 
 def test_unknown_key():

@@ -116,8 +116,13 @@ def test_validate_parse_failures(tmp_path, capsys):
     unknown_key["extra"] = 1
     path = write_doc(tmp_path, unknown_key)
     assert main(["validate", path]) == 3
+    boolean_index = so3_doc()
+    boolean_index["brackets"][0]["terms"][0]["k"] = True
+    path = write_doc(tmp_path, boolean_index)
+    assert main(["validate", path]) == 3
     err = capsys.readouterr().err
     assert "error:" in err
+    assert "term index k must be an integer" in err
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def test_format_parse_round_trip_random():
 
 
 def test_rank_and_kernel_examples():
-    m = Matrix.identity(QQ, 2)
+    m = Matrix.from_rows(QQ, [[1, 0], [0, 1]])
     assert rank_and_kernel(m) == (2, [])
 
     m = Matrix.from_rows(FA, [[1, A]])
@@ -115,7 +115,7 @@ def test_rank_and_kernel_examples():
     assert r == 1
     assert kernel == [[-A, FA.one]]
 
-    m = Matrix.zeros(QQ, 3, 3)
+    m = Matrix.from_rows(QQ, [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
     r, kernel = rank_and_kernel(m)
     assert r == 0
     assert kernel == [
@@ -151,7 +151,8 @@ def test_rank_properties_random():
             cols=cols,
         )
         r, kernel = rank_and_kernel(m)
-        assert r == rank(m) == rank(m.transpose())
+        transpose = Matrix.from_rows(QQ, [m.col(j) for j in range(cols)], cols=rows)
+        assert r == rank(m) == rank(transpose)
         assert r + len(kernel) == cols
         for v in kernel:
             assert not any(m.mul_vec(v))
@@ -168,9 +169,10 @@ def test_rank_rational_function_matrix():
 def test_matrix_multiply_and_invert():
     m = Matrix.from_rows(QQ, [[1, 1], [0, 2]])
     inv = Matrix.from_rows(QQ, [[1, Fraction(-1, 2)], [0, Fraction(1, 2)]])
-    assert m * inv == Matrix.identity(QQ, 2)
+    assert m.mul_vec(inv.col(0)) == [1, 0]
+    assert m.mul_vec(inv.col(1)) == [0, 1]
     with pytest.raises(MixedFields):
-        m * Matrix.identity(FA, 2)
+        m.mul_vec([FA.one, A])
 
 
 def test_det_rows():

@@ -1,0 +1,39 @@
+"""Every name a package module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import liecohom
+
+MODULES = sorted(p for p in Path(liecohom.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def imported_and_used(source):
+    tree = ast.parse(source)
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return imported, used
+
+
+def test_every_imported_name_is_used():
+    assert {p.name for p in MODULES} >= {"field_arith.py", "lie_core.py", "ce_complex.py"}
+    unused = []
+    for path in MODULES:
+        imported, used = imported_and_used(path.read_text(encoding="utf-8"))
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
+def test_detects_an_unused_import():
+    imported, used = imported_and_used("import os\nfrom math import comb, lcm\nlcm(2, 3)\n")
+    assert [name for name in imported if name not in used] == ["os", "comb"]

@@ -223,7 +223,8 @@ def test_quotient_heisenberg_by_center():
     assert qd.quotient.dim == 2
     assert qd.quotient.is_abelian
     assert qd.projection.to_rows() == [[1, 0, 0], [0, 1, 0]]
-    assert qd.projection * qd.section == Matrix.identity(QQ, 2)
+    assert qd.section.to_rows() == [[1, 0], [0, 1], [0, 0]]
+    assert [qd.projection.mul_vec(qd.section.col(b)) for b in range(2)] == [[1, 0], [0, 1]]
 
 
 def test_quotient_torus_rational_function():
@@ -242,8 +243,9 @@ def test_quotient_by_zero_ideal_is_identity():
     qd = quotient_algebra(L, Subspace.zero(3, QQ))
     assert qd.quotient.name == "so3"
     assert qd.quotient.brackets == L.brackets
-    assert qd.projection == Matrix.identity(QQ, 3)
-    assert qd.section == Matrix.identity(QQ, 3)
+    identity = Matrix.from_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert qd.projection == identity
+    assert qd.section == identity
 
 
 def test_quotient_nonabelian():
@@ -401,6 +403,20 @@ def test_algebra_json_rejects_bad_entries():
     ]
     for doc in bad_cases:
         with pytest.raises(ParseError):
+            algebra_from_json(doc)
+
+
+def test_algebra_json_rejects_boolean_indices():
+    # JSON true and false load as Python bools, which are ints equal to 1 and 0
+    base = {"name": "x", "dimension": 2, "field": "Q"}
+    bad_cases = [
+        {**base, "brackets": [{"i": True, "j": 2, "terms": [{"k": 2, "coeff": "1"}]}]},
+        {**base, "brackets": [{"i": 0, "j": True, "terms": [{"k": 2, "coeff": "1"}]}]},
+        {**base, "brackets": [{"i": 1, "j": 2, "terms": [{"k": True, "coeff": "1"}]}]},
+        {**base, "brackets": [{"i": 1, "j": 2, "terms": [{"k": False, "coeff": "1"}]}]},
+    ]
+    for doc in bad_cases:
+        with pytest.raises(ParseError, match="integer"):
             algebra_from_json(doc)
 
 
