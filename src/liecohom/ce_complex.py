@@ -31,7 +31,7 @@ from .errors import (
     JacobiViolation,
     MixedFields,
 )
-from .field_arith import Matrix, _rref, det_rows, format_scalar, rank_and_kernel
+from .field_arith import Matrix, _echelon_insert, _rref, det_rows, format_scalar, rank_and_kernel
 from .lie_core import jacobi_check
 
 DEFAULT_MAX_DIM = 20
@@ -482,23 +482,6 @@ class CohomologyReport:
         return "CohomologyReport(%r, betti=%r)" % (self.algebra, self.betti)
 
 
-def _reduce_against(echelon, vec):
-    """Reduce vec by echelon rows (each with leading coefficient 1)."""
-    vec = list(vec)
-    for pivot, row in echelon:
-        c = vec[pivot]
-        if c:
-            vec = [a - c * b for a, b in zip(vec, row)]
-    return vec
-
-
-def _leading_index(vec):
-    for i, x in enumerate(vec):
-        if x:
-            return i
-    return None
-
-
 def cohomology(L, max_dim=DEFAULT_MAX_DIM):
     """Full cohomology of the algebra: Betti numbers, ranks, representatives.
 
@@ -542,15 +525,9 @@ def cohomology(L, max_dim=DEFAULT_MAX_DIM):
             echelon = list(zip(pivots, rows))
         reps = []
         for vec in kernels[k]:
-            reduced = _reduce_against(echelon, vec)
-            lead = _leading_index(reduced)
-            if lead is None:
-                continue
-            inv = reduced[lead]
-            if inv != 1:
-                reduced = [x / inv for x in reduced]
-            echelon.append((lead, reduced))
-            reps.append(form_from_vector(field, n, k, reduced))
+            row = _echelon_insert(echelon, vec)
+            if row is not None:
+                reps.append(form_from_vector(field, n, k, row))
         if len(reps) != betti_k:
             raise InternalCheckFailed(
                 "degree %d: %d representatives for Betti number %d"

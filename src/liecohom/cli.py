@@ -43,7 +43,10 @@ def _fail(message, code):
 
 
 def _load_document(path):
-    """Read a JSON file holding either an algebra or a pipeline input."""
+    """Read a JSON file holding either an algebra or a pipeline input.
+
+    Every package error met while reading comes out as a ParseError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -53,9 +56,12 @@ def _load_document(path):
         raise ParseError("invalid JSON in %s: %s" % (path, exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be a JSON object")
-    if "algebra" in doc:
-        return pipeline_input_from_json(doc)
-    return algebra_from_json(doc)
+    try:
+        if "algebra" in doc:
+            return pipeline_input_from_json(doc)
+        return algebra_from_json(doc)
+    except Error as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _vector_text(v):
@@ -96,23 +102,18 @@ def _print_witness(witness, as_json):
 
 
 def cmd_validate(args):
-    try:
-        parsed = _load_document(args.path)
-    except Error as exc:
-        return _fail(str(exc), EXIT_PARSE)
+    parsed = _load_document(args.path)
     if hasattr(parsed, "algebra"):
         algebra, ideal = parsed.algebra, parsed.ideal
     else:
         algebra, ideal = parsed, None
     violations = jacobi_check(algebra)
     if violations:
-        _print_violations(violations, args.json)
-        return EXIT_JACOBI
+        raise JacobiViolation(violations)
     if ideal is not None:
         witness = ideal_check(algebra, ideal)
         if witness is not None:
-            _print_witness(witness, args.json)
-            return EXIT_NOT_IDEAL
+            raise NotAnIdeal(witness)
     if args.json:
         print(json.dumps({"status": "ok", "algebra": algebra.name,
                           "dimension": algebra.dim}))
@@ -125,10 +126,9 @@ def cmd_validate(args):
     return EXIT_OK
 
 
-def _format_report_text(report, with_representatives):
+def _report_lines(report, with_representatives):
+    """The betti, ranks and (when asked) representatives lines of a report."""
     lines = [
-        "algebra: %s" % report.algebra,
-        "dimension: %d" % report.dim,
         "betti: %s" % " ".join(str(b) for b in report.betti),
         "ranks: %s" % " ".join(str(r) for r in report.ranks),
     ]
@@ -137,71 +137,42 @@ def _format_report_text(report, with_representatives):
         for degree, forms in enumerate(report.representatives):
             for form in forms:
                 lines.append("  degree %d: %s" % (degree, form))
-    return "\n".join(lines)
+    return lines
 
 
 def cmd_cohomology(args):
-    try:
-        parsed = _load_document(args.path)
-    except Error as exc:
-        return _fail(str(exc), EXIT_PARSE)
+    parsed = _load_document(args.path)
     if hasattr(parsed, "algebra"):
-        return _fail(
-            "document carries an ideal; use the quotient command", EXIT_PARSE
-        )
-    try:
-        report = cohomology(parsed, max_dim=args.max_dim)
-    except JacobiViolation as exc:
-        _print_violations(exc.violations, args.json)
-        return EXIT_JACOBI
-    except DimensionCapExceeded as exc:
-        return _fail(str(exc), EXIT_DIM_CAP)
-    except InternalCheckFailed as exc:
-        return _fail("internal check failed: %s" % exc, EXIT_INTERNAL)
+        raise ParseError("document carries an ideal; use the quotient command")
+    report = cohomology(parsed, max_dim=args.max_dim)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
-        print(_format_report_text(report, args.representatives))
+        lines = ["algebra: %s" % report.algebra, "dimension: %d" % report.dim]
+        print("\n".join(lines + _report_lines(report, args.representatives)))
     return EXIT_OK
 
 
 def cmd_quotient(args):
-    try:
-        parsed = _load_document(args.path)
-    except Error as exc:
-        return _fail(str(exc), EXIT_PARSE)
+    parsed = _load_document(args.path)
     if not hasattr(parsed, "algebra"):
-        return _fail("document has no ideal; use the cohomology command", EXIT_PARSE)
-    try:
-        report = dense_quotient_cohomology(
-            parsed, check_chain_iso=not args.no_chain_iso, max_dim=args.max_dim
-        )
-    except JacobiViolation as exc:
-        _print_violations(exc.violations, args.json)
-        return EXIT_JACOBI
-    except NotAnIdeal as exc:
-        _print_witness(exc.witness, args.json)
-        return EXIT_NOT_IDEAL
-    except DimensionCapExceeded as exc:
-        return _fail(str(exc), EXIT_DIM_CAP)
-    except InternalCheckFailed as exc:
-        return _fail("internal check failed: %s" % exc, EXIT_INTERNAL)
+        raise ParseError("document has no ideal; use the cohomology command")
+    report = dense_quotient_cohomology(
+        parsed, check_chain_iso=not args.no_chain_iso, max_dim=args.max_dim
+    )
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
-        print("algebra: %s" % report.algebra)
-        print("quotient_dim: %d" % report.quotient_dim)
-        print("abelian_quotient: %s" % ("true" if report.abelian_quotient else "false"))
-        print("chain_iso: %s" % ("verified" if report.chain_iso_verified else "skipped"))
-        print("betti: %s" % " ".join(str(b) for b in report.report.betti))
-        print("ranks: %s" % " ".join(str(r) for r in report.report.ranks))
-        if args.representatives:
-            print("representatives:")
-            for degree, forms in enumerate(report.report.representatives):
-                for form in forms:
-                    print("  degree %d: %s" % (degree, form))
+        lines = [
+            "algebra: %s" % report.algebra,
+            "quotient_dim: %d" % report.quotient_dim,
+            "abelian_quotient: %s" % ("true" if report.abelian_quotient else "false"),
+            "chain_iso: %s" % ("verified" if report.chain_iso_verified else "skipped"),
+        ]
+        lines += _report_lines(report.report, args.representatives)
         if report.note:
-            print("note: %s" % report.note)
+            lines.append("note: %s" % report.note)
+        print("\n".join(lines))
     return EXIT_OK
 
 
@@ -213,10 +184,7 @@ def cmd_catalog(args):
             for key in catalog_keys():
                 print("%s: %s" % (key, describe(key)))
         return EXIT_OK
-    try:
-        entry = catalog_entry(args.key)
-    except ParseError as exc:
-        return _fail(str(exc), EXIT_PARSE)
+    entry = catalog_entry(args.key)
     if args.doc:
         # just the input document, ready to feed back to the other commands
         print(json.dumps(entry.document, indent=2))
@@ -321,7 +289,22 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "catalog" and args.action == "show" and args.key is None:
         return _fail("catalog show needs a key", EXIT_PARSE)
-    return args.func(args)
+    # the one table from package errors to exit codes
+    as_json = getattr(args, "json", False)
+    try:
+        return args.func(args)
+    except JacobiViolation as exc:
+        _print_violations(exc.violations, as_json)
+        return EXIT_JACOBI
+    except NotAnIdeal as exc:
+        _print_witness(exc.witness, as_json)
+        return EXIT_NOT_IDEAL
+    except ParseError as exc:
+        return _fail(str(exc), EXIT_PARSE)
+    except DimensionCapExceeded as exc:
+        return _fail(str(exc), EXIT_DIM_CAP)
+    except InternalCheckFailed as exc:
+        return _fail("internal check failed: %s" % exc, EXIT_INTERNAL)
 
 
 def entry():

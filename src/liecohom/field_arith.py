@@ -1,4 +1,4 @@
-"""Exact scalars over Q and Q(a), and exact dense linear algebra.
+"""Exact scalars over Q and Q(a), and every exact elimination in the package.
 
 A scalar is either a `fractions.Fraction` (field Q) or a `RationalFunction`
 (field Q(a) for a single named indeterminate).  Both are kept in canonical
@@ -9,6 +9,10 @@ It is kept by a polynomial gcd only where reduction is not already
 guaranteed: negation, reciprocals, powers and constants are canonical by
 construction, and sums and products of reduced fractions use Henrici's
 gcd splitting, which skips every gcd with a constant argument.
+
+No other module eliminates.  _echelon_insert, with _reduce_against,
+answers every independence and membership question one vector at a time;
+_rref gives the full reduced row echelon form where one is needed.
 
 Scalar text syntax, used by every file format, is ordinary arithmetic
 notation over integers and at most one indeterminate.  Whitespace is
@@ -654,9 +658,11 @@ class Matrix:
     def from_rows(cls, field, rows, cols=None):
         rows = [list(r) for r in rows]
         if rows:
-            cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
-                raise DimensionMismatch("ragged rows")
+            if cols is None:
+                cols = len(rows[0])
+            for r in rows:
+                if len(r) != cols:
+                    raise DimensionMismatch("row of length %d, expected %d" % (len(r), cols))
         elif cols is None:
             cols = 0
         flat = [field.coerce(x) for r in rows for x in r]
@@ -707,6 +713,30 @@ class Matrix:
 
 # ---------------------------------------------------------------------------
 # elimination
+
+def _reduce_against(echelon, vec):
+    """vec reduced against an echelon: a list of (lead, row) pairs, each row
+    1 at its lead and 0 at earlier leads.  Zero exactly when vec is in the span."""
+    vec = list(vec)
+    for lead, row in echelon:
+        c = vec[lead]
+        if c:
+            vec = [a - c * b for a, b in zip(vec, row)]
+    return vec
+
+
+def _echelon_insert(echelon, vec):
+    """Append vec reduced against the echelon, its lead scaled to 1, unless
+    it reduces to zero; return the appended row, or None."""
+    vec = _reduce_against(echelon, vec)
+    for lead, x in enumerate(vec):
+        if x:
+            if x != 1:
+                vec = [a / x for a in vec]
+            echelon.append((lead, vec))
+            return vec
+    return None
+
 
 def _rref(rows, ncols):
     """Reduced row echelon form by ordinary division; returns (rows, pivot cols).

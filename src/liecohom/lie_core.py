@@ -16,6 +16,7 @@ from .field_arith import (
     Field,
     Matrix,
     QQ,
+    _echelon_insert,
     _rref,
     field_of,
     format_scalar,
@@ -135,26 +136,28 @@ def jacobi_check(L):
     The residual of i < j < k is [[e_i, e_j], e_k] + [[e_j, e_k], e_i] +
     [[e_k, e_i], e_j] as a coordinate vector, expanded over the sparse
     bracket table.  An empty list means the table defines a Lie algebra.
+    Only triples with a nonzero bracket among their pairs are visited, in
+    lex order: every other residual is zero term by term.
     """
     table = {}
     for (i, j), terms in L.brackets.items():
         table[(i, j)] = terms
         table[(j, i)] = {k: -c for k, c in terms.items()}
+    triples = {tuple(sorted((i, j, k))) for i, j in L.brackets
+               for k in range(1, L.dim + 1) if k != i and k != j}
     violations = []
-    for i in range(1, L.dim + 1):
-        for j in range(i + 1, L.dim + 1):
-            for k in range(j + 1, L.dim + 1):
-                residual = {}
-                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, c in table.get((x, y), {}).items():
-                        for m, s in table.get((l, z), {}).items():
-                            prev = residual.get(m)
-                            residual[m] = c * s if prev is None else prev + c * s
-                if any(residual.values()):
-                    vec = L.zero_vector()
-                    for m, value in residual.items():
-                        vec[m - 1] = value
-                    violations.append((i, j, k, vec))
+    for i, j, k in sorted(triples):
+        residual = {}
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, c in table.get((x, y), {}).items():
+                for m, s in table.get((l, z), {}).items():
+                    prev = residual.get(m)
+                    residual[m] = c * s if prev is None else prev + c * s
+        if any(residual.values()):
+            vec = L.zero_vector()
+            for m, value in residual.items():
+                vec[m - 1] = value
+            violations.append((i, j, k, vec))
     return violations
 
 
@@ -174,7 +177,8 @@ class Subspace:
                     % (len(v), ambient_dim)
                 )
         basis = [[field.coerce(x) for x in v] for v in basis]
-        if basis and len(_rref(basis, ambient_dim)[1]) != len(basis):
+        echelon = []
+        if any(_echelon_insert(echelon, v) is None for v in basis):
             raise ValueError("subspace basis is linearly dependent")
         self.ambient_dim = ambient_dim
         self.field = field
@@ -231,11 +235,10 @@ class QuotientData:
 def ideal_check(L, h):
     """None if [g, h] lies in h; otherwise the first witness (i, w, [e_i, w]).
 
-    Brackets are taken in the order i = 1..n, then w along the basis of h.
-    One reduced echelon form of the columns [h | [e_i, w] in that order]
-    answers every membership question: a bracket column holds a pivot
-    exactly when it leaves the span of h and the brackets before it, so
-    the first bracket column with a pivot is the first bracket outside h.
+    Brackets are taken in the order i = 1..n, then w along the basis of h,
+    and built one at a time against an echelon of h's basis: the witness
+    is the first bracket that inserts into it, that is, the first one
+    outside h.
     """
     if h.ambient_dim != L.dim:
         raise DimensionMismatch(
@@ -244,14 +247,14 @@ def ideal_check(L, h):
         )
     if h.field != L.field:
         raise MixedFields("subspace and algebra over different fields")
-    m = h.size
-    witnesses = [(i, w, bracket(L, L.basis_vector(i), w))
-                 for i in range(1, L.dim + 1) for w in h.basis]
-    columns = h.basis + [result for _, _, result in witnesses]
-    _, pivots = _rref([[v[r] for v in columns] for r in range(L.dim)], len(columns))
-    for p in pivots:
-        if p >= m:
-            return witnesses[p - m]
+    echelon = []
+    for w in h.basis:
+        _echelon_insert(echelon, w)
+    for i in range(1, L.dim + 1):
+        for w in h.basis:
+            result = bracket(L, L.basis_vector(i), w)
+            if _echelon_insert(echelon, result) is not None:
+                return (i, w, result)
     return None
 
 
@@ -299,9 +302,8 @@ def quotient_algebra(L, h):
 def torus_ideal_from_directions(n, directions, field=None):
     """Span of one-parameter subgroup directions inside an abelian algebra.
 
-    Directions may be dependent; the independent subset kept is the one
-    at the pivot columns of the reduced echelon form of the directions,
-    which keeps earlier vectors.
+    Directions may be dependent; a direction is kept when it leaves the
+    span of the directions before it, so earlier vectors are kept.
     """
     directions = [list(v) for v in directions]
     if field is None:
@@ -312,8 +314,8 @@ def torus_ideal_from_directions(n, directions, field=None):
                 "direction of length %d in ambient dimension %d" % (len(v), n)
             )
     directions = [[field.coerce(x) for x in v] for v in directions]
-    _, pivots = _rref([[v[i] for v in directions] for i in range(n)], len(directions))
-    kept = [directions[p] for p in pivots]
+    echelon = []
+    kept = [v for v in directions if _echelon_insert(echelon, v) is not None]
     return Subspace(n, kept, field)
 
 

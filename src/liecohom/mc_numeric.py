@@ -32,13 +32,7 @@ class MatrixGroupPoint:
     __slots__ = ("n", "entries")
 
     def __init__(self, entries):
-        import numpy as np
-
-        entries = np.asarray(entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise DimensionMismatch("group point must be a square matrix")
-        if abs(np.linalg.det(entries)) <= DET_THRESHOLD:
-            raise SingularMatrix("matrix determinant too close to zero")
+        entries = _as_array(entries)
         self.n = entries.shape[0]
         self.entries = entries
 
@@ -69,6 +63,7 @@ class NumericCheckResult:
 
 
 def _as_array(g):
+    """g as a float array, checked square and safely invertible."""
     import numpy as np
 
     if isinstance(g, MatrixGroupPoint):

@@ -15,7 +15,6 @@ from math import comb
 from .ce_complex import (
     DEFAULT_MAX_DIM,
     ExteriorForm,
-    _reduce_against,
     basis_form,
     cohomology,
     d_apply,
@@ -32,7 +31,7 @@ from .errors import (
     MixedFields,
     ParseError,
 )
-from .field_arith import _rref, parse_scalar
+from .field_arith import _echelon_insert, _reduce_against, parse_scalar
 from .lie_core import (
     _require_keys,
     algebra_from_json,
@@ -166,9 +165,9 @@ def chain_iso_check(L, h):
     d.  Returns None on success, else (degree, form, reason) for the first
     failure.
 
-    The pullback of every basis form is built once, and one reduced
-    echelon form of the pulled-back basis answers both span questions: it
-    is independent when it has C(q, k) pivots, and then, with the
+    The pullback of every basis form is built once, and one echelon of
+    the pulled-back basis answers both span questions: the basis is
+    independent when every form inserts into it, and then, with the
     horizontal space of that same dimension, the two spaces agree exactly
     when every horizontal form reduces to zero against it.
     """
@@ -187,10 +186,10 @@ def chain_iso_check(L, h):
             continue
         upper = next(tables, {})
         tuples = index_tuples(q, k)
-        rows, pivots = _rref([form_to_vector(table[I]) for I in tuples], comb(n, k))
-        if len(pivots) != expected:
-            return (k, None, "pulled-back basis is linearly dependent")
-        echelon = list(zip(pivots, rows))
+        echelon = []
+        for I in tuples:
+            if _echelon_insert(echelon, form_to_vector(table[I])) is None:
+                return (k, None, "pulled-back basis is linearly dependent")
         for f in horizontal:
             if any(_reduce_against(echelon, form_to_vector(f))):
                 return (k, basis_form(field, q, tuples[0]),

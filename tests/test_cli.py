@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,19 @@ def test_validate_not_an_ideal(tmp_path, capsys):
     path = write_doc(tmp_path, non_ideal_pipeline_doc())
     assert main(["validate", path]) == 2
     assert "ideal: FAIL" in capsys.readouterr().out
+
+
+def test_validate_skips_triples_without_brackets(tmp_path, capsys):
+    # the Jacobi sweep visits only triples with a nonzero bracket among
+    # their pairs; all C(1000, 3) triples would take minutes
+    one_bracket = abelian_doc(1000)
+    one_bracket["brackets"] = [{"i": 1, "j": 2, "terms": [{"k": 3, "coeff": "1"}]}]
+    for doc in (abelian_doc(1000), one_bracket):
+        path = write_doc(tmp_path, doc)
+        start = time.perf_counter()
+        assert main(["validate", path]) == 0
+        assert time.perf_counter() - start < 2.0
+        assert "dimension: 1000" in capsys.readouterr().out
 
 
 def test_validate_parse_failures(tmp_path, capsys):

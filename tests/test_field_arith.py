@@ -6,13 +6,15 @@ import pytest
 
 import _oracle
 from liecohom import field_arith
-from liecohom.errors import DivisionByZero, MixedFields, ParseError
+from liecohom.errors import DimensionMismatch, DivisionByZero, MixedFields, ParseError
 from liecohom.field_arith import (
     Field,
     Matrix,
     Poly,
     QQ,
     RationalFunction,
+    _echelon_insert,
+    _reduce_against,
     det_rows,
     format_scalar,
     parse_scalar,
@@ -156,6 +158,73 @@ def test_rank_properties_random():
         assert r + len(kernel) == cols
         for v in kernel:
             assert not any(m.mul_vec(v))
+
+
+def test_from_rows_checks_the_stated_width():
+    assert Matrix.from_rows(QQ, [[1, 2]], cols=2).shape == (1, 2)
+    assert Matrix.from_rows(QQ, [], cols=3).shape == (0, 3)
+    assert Matrix.from_rows(QQ, [[1, 2], [3, 4]]).shape == (2, 2)
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_rows(QQ, [[1, 2]], cols=3)
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_rows(QQ, [[1, 2, 3], [4, 5]], cols=3)
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_rows(QQ, [[1, 2], [3]])
+
+
+def _random_vector_lists(rng, field, count):
+    """Vector lists with zero vectors, repeats, dependent middle vectors and
+    entries already equal to 1 at what becomes a lead."""
+    def scalar():
+        x = Fraction(rng.choice([0, 0, 1, 1, -1, 2, 3]), rng.randint(1, 3))
+        if field is FA and rng.random() < 0.3:
+            return x * A + rng.randint(-1, 1)
+        return field.coerce(x)
+
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        vectors = []
+        for _ in range(rng.randint(0, 8)):
+            kind = rng.random()
+            if kind < 0.15:
+                vectors.append([field.zero] * n)
+            elif kind < 0.3 and vectors:
+                vectors.append(list(rng.choice(vectors)))
+            elif kind < 0.5 and len(vectors) >= 2:
+                a, b = rng.sample(vectors, 2)
+                c, d = scalar(), scalar()
+                vectors.append([c * x + d * y for x, y in zip(a, b)])
+            else:
+                vectors.append([scalar() for _ in range(n)])
+        yield n, vectors
+
+
+@pytest.mark.parametrize("field", [QQ, FA])
+def test_echelon_insert_keeps_the_greedy_independent_set(field):
+    rng = random.Random(7 if field is QQ else 8)
+    for n, vectors in _random_vector_lists(rng, field, 150 if field is QQ else 25):
+        echelon, kept = [], []
+        for v in vectors:
+            row = _echelon_insert(echelon, v)
+            independent = _oracle.gauss_rank(kept + [v]) > len(kept)
+            assert (row is not None) == independent
+            if row is None:
+                continue
+            kept.append(v)
+            lead, stored = echelon[-1]
+            assert stored is row
+            assert row[lead] == 1 and not any(row[:lead])
+            # row differs from v by a combination of the rows before it
+            assert _oracle.gauss_rank(kept[:-1] + [row]) == len(kept)
+            assert _oracle.gauss_rank(kept + [row]) == len(kept)
+        assert len(echelon) == len(kept) == _oracle.gauss_rank(vectors)
+        for r, (lead, row) in enumerate(echelon):
+            assert all(not row[earlier] for earlier, _ in echelon[:r])
+        # membership: reduction leaves zero exactly on the span
+        for v in vectors + [[field.one] * n]:
+            reduced = _reduce_against(echelon, v)
+            assert all(not reduced[lead] for lead, _ in echelon)
+            assert (not any(reduced)) == (_oracle.gauss_rank(kept + [v]) == len(kept))
 
 
 def test_rank_rational_function_matrix():

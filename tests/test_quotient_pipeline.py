@@ -393,6 +393,37 @@ def test_pipeline_takes_no_determinants(monkeypatch):
         assert rep.chain_iso_verified
 
 
+def test_span_questions_take_no_reduced_echelon_form(monkeypatch):
+    # independence and membership go through the echelon insertion step;
+    # the reduced echelon form is left to quotient_algebra's projection
+    calls = []
+    real_rref = lie_core._rref
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return real_rref(rows, ncols)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_rref called for a span question")
+
+    monkeypatch.setattr(lie_core, "_rref", counted)
+    monkeypatch.setattr(quotient_pipeline, "_rref", forbidden, raising=False)
+    L = heisenberg()
+    assert lie_core.ideal_check(L, heis_center()) is None
+    witness = lie_core.ideal_check(L, Subspace(3, [[1, 0, 0]], QQ))
+    assert witness == (2, [1, 0, 0], [0, 0, -1])
+    kept = torus_ideal_from_directions(3, [[1, 2, 0], [2, 4, 0], [0, 0, 0], [0, 1, 1]], QQ)
+    assert kept.basis == [[1, 2, 0], [0, 1, 1]]
+    with pytest.raises(ValueError):
+        Subspace(3, [[1, 2, 0], [0, 1, 1], [1, 3, 1]], QQ)
+    assert calls == []
+    quotient_algebra(L, heis_center())
+    assert len(calls) == 1
+    assert chain_iso_check(L, heis_center()) is None
+    assert chain_iso_check(so3_plus_line(), Subspace(4, [[0, 0, 0, 1]], QQ)) is None
+    assert len(calls) == 3
+
+
 # ---------------------------------------------------------------------------
 # JSON input documents
 
