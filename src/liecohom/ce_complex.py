@@ -31,7 +31,7 @@ from .errors import (
     JacobiViolation,
     MixedFields,
 )
-from .field_arith import Matrix, _echelon_insert, _rref, det_rows, format_scalar, rank_and_kernel
+from .field_arith import Matrix, _echelon_insert, det_rows, format_scalar, rank_and_kernel
 from .lie_core import jacobi_check
 
 DEFAULT_MAX_DIM = 20
@@ -521,8 +521,10 @@ def cohomology(L, max_dim=DEFAULT_MAX_DIM):
         echelon = []
         if k > 0:
             image = diffs[k - 1].matrix
-            rows, pivots = _rref([image.col(j) for j in range(image.cols)], comb(n, k))
-            echelon = list(zip(pivots, rows))
+            for j in range(image.cols):
+                if len(echelon) == prev_rank:
+                    break
+                _echelon_insert(echelon, image.col(j))
         reps = []
         for vec in kernels[k]:
             row = _echelon_insert(echelon, vec)

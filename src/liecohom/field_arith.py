@@ -12,7 +12,7 @@ gcd splitting, which skips every gcd with a constant argument.
 
 No other module eliminates.  _echelon_insert, with _reduce_against,
 answers every independence and membership question one vector at a time;
-_rref gives the full reduced row echelon form where one is needed.
+_rref, the full reduced form, is insertion of every row plus back-reduction.
 
 Scalar text syntax, used by every file format, is ordinary arithmetic
 notation over integers and at most one indeterminate.  Whitespace is
@@ -531,6 +531,7 @@ class _Tokens:
                 self.items.append(("op", m.group("op")))
             pos = m.end()
         self.pos = 0
+        self.chain = 1
 
     def peek(self):
         return self.items[self.pos] if self.pos < len(self.items) else (None, None)
@@ -603,14 +604,19 @@ def _parse_unary(toks, field):
 
 
 def _parse_power(toks, field):
+    # nested exponents multiply: the cap bounds their product along a chain
+    outer, toks.chain = toks.chain, 1
     base = _parse_atom(toks, field)
+    chain = toks.chain
     if toks.accept("^"):
         kind, val = toks.next()
         if kind != "int":
             raise ParseError("exponent must be a nonnegative integer literal")
-        if val > _MAX_EXPONENT:
-            raise ParseError("exponent %d too large" % val)
-        return base**val
+        chain *= val
+        if chain > _MAX_EXPONENT:
+            raise ParseError("exponent %d too large (nested exponents multiply)" % chain)
+        base = base**val
+    toks.chain = max(outer, chain)
     return base
 
 
@@ -641,7 +647,7 @@ class Matrix:
     """Immutable dense matrix over a single field; entries row-major.
 
     A container with no matrix algebra: ranks, kernels, solving in a span
-    and quotient projections all come from _rref.
+    and quotient projections come from _rref, insertion plus back-reduction.
     """
 
     __slots__ = ("field", "rows", "cols", "entries")
@@ -738,42 +744,23 @@ def _echelon_insert(echelon, vec):
     return None
 
 
-def _rref(rows, ncols):
-    """Reduced row echelon form by ordinary division; returns (rows, pivot cols).
-
-    Mutates nothing; scalars renormalize on every operation, which keeps
-    rational-function entries reduced after each pivot.
-    """
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        p = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                p = i
-                break
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = rows[r][c]
-        if inv != 1:
-            rows[r] = [x / inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+def _rref(rows):
+    """Reduced row echelon form as (nonzero rows, pivot cols): every row is
+    inserted into an echelon, then each echelon row, from the last, is
+    reduced against the rows after it.  Mutates nothing."""
+    echelon = []
+    for row in rows:
+        _echelon_insert(echelon, row)
+    for i in reversed(range(len(echelon))):
+        lead, row = echelon[i]
+        echelon[i] = (lead, _reduce_against(echelon[i + 1:], row))
+    echelon.sort()
+    return [row for _, row in echelon], [lead for lead, _ in echelon]
 
 
 def rank(m):
     """Exact rank: the number of pivots of the reduced row echelon form."""
-    return len(_rref(m.to_rows(), m.cols)[1])
+    return len(_rref(m.to_rows())[1])
 
 
 def rank_and_kernel(m):
@@ -782,7 +769,7 @@ def rank_and_kernel(m):
     One kernel vector per free column, free variable set to 1, taken in
     increasing column order.
     """
-    rref_rows, pivots = _rref(m.to_rows(), m.cols)
+    rref_rows, pivots = _rref(m.to_rows())
     pivot_set = set(pivots)
     zero, one = m.field.zero, m.field.one
     kernel = []
@@ -822,7 +809,7 @@ def solve_in_span(basis, target):
         row = [field.coerce(v[i]) for v in basis]
         row.append(field.coerce(target[i]))
         aug.append(row)
-    rref_rows, pivots = _rref(aug, ncols)
+    rref_rows, pivots = _rref(aug)
     if pivots and pivots[-1] == ncols - 1:
         return None
     coeffs = [field.zero] * len(basis)

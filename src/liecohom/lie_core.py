@@ -278,7 +278,7 @@ def quotient_algebra(L, h):
     one, zero = field.one, field.zero
     aug = [[v[i] for v in h.basis] + [one if c == i else zero for c in range(n)]
            for i in range(n)]
-    rref_rows, pivots = _rref(aug, m + n)
+    rref_rows, pivots = _rref(aug)
     chosen = [p - m + 1 for p in pivots[m:]]
     projection = Matrix.from_rows(field, [row[m:] for row in rref_rows[m:]], cols=n)
     section_rows = [[one if chosen[b] == i + 1 else zero for b in range(q)]

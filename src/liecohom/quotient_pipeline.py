@@ -171,7 +171,11 @@ def chain_iso_check(L, h):
     horizontal space of that same dimension, the two spaces agree exactly
     when every horizontal form reduces to zero against it.
     """
-    qd = quotient_algebra(L, h)
+    return _chain_iso_check(L, h, quotient_algebra(L, h))
+
+
+def _chain_iso_check(L, h, qd):
+    """chain_iso_check on the QuotientData qd of L by h, already built."""
     n, q = L.dim, qd.quotient.dim
     field = L.field
     tables = _pullback_tables(qd.projection)
@@ -236,7 +240,7 @@ def dense_quotient_cohomology(inp, check_chain_iso=True, max_dim=DEFAULT_MAX_DIM
             )
     chain_ok = False
     if check_chain_iso:
-        failure = chain_iso_check(L, inp.ideal)
+        failure = _chain_iso_check(L, inp.ideal, qd)
         if failure is not None:
             raise InternalCheckFailed("chain isomorphism check failed: %r" % (failure,))
         chain_ok = True

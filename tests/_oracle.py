@@ -2,10 +2,11 @@
 
 Nothing here shares code with the package's complex: forms are evaluated
 by explicit permutation sums, the coboundary comes straight from the
-alternating-sum formula applied to every basis tuple, and ranks come from
-a standalone Gaussian elimination.  Only the structure-constant data of a
-LieAlgebra object is read.  Rational functions in Q(a) are pairs of
-Fraction coefficient lists, reduced by their own Euclidean algorithm.
+alternating-sum formula applied to every basis tuple, and ranks and
+reduced echelon forms come from a standalone Gauss-Jordan elimination.
+Only the structure-constant data of a LieAlgebra object is read.
+Rational functions in Q(a) are pairs of Fraction coefficient lists,
+reduced by their own Euclidean algorithm.
 """
 
 from fractions import Fraction
@@ -81,14 +82,15 @@ def coboundary_matrix(L, k):
     return matrix
 
 
-def gauss_rank(rows):
-    """Rank by plain fraction Gaussian elimination, written from scratch."""
+def gauss_jordan(rows):
+    """Reduced row echelon form by plain Gauss-Jordan elimination, written
+    from scratch: (its nonzero rows, their pivot columns)."""
     rows = [list(r) for r in rows]
     if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
+        return [], []
+    pivots = []
+    for col in range(len(rows[0])):
+        rank = len(pivots)
         pivot = None
         for i in range(rank, len(rows)):
             if rows[i][col]:
@@ -98,12 +100,18 @@ def gauss_rank(rows):
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         lead = rows[rank][col]
+        rows[rank] = [x / lead for x in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][col]:
-                f = rows[i][col] / lead
+                f = rows[i][col]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def gauss_rank(rows):
+    """Rank by plain Gauss-Jordan elimination."""
+    return len(gauss_jordan(rows)[1])
 
 
 def betti_numbers(L):

@@ -7,7 +7,7 @@ import pytest
 
 import _oracle
 from _families import filiform, heisenberg as heisenberg_family, rebased, solv, strictly_upper
-from liecohom import ce_complex
+from liecohom import ce_complex, field_arith
 from liecohom.ce_complex import (
     ExteriorForm,
     basis_form,
@@ -566,6 +566,23 @@ def test_representatives_independent_modulo_image():
     stacked = image + reps
     m = Matrix.from_rows(QQ, stacked, cols=3)
     assert rank(m) == rank(Matrix.from_rows(QQ, image, cols=3)) + len(reps)
+
+
+def test_cohomology_takes_one_reduced_echelon_form_per_degree(monkeypatch):
+    # the image echelon of d_{k-1} is built by inserting its columns, so the
+    # only reduced echelon forms are the n + 1 behind rank_and_kernel
+    calls = []
+    real = field_arith._rref
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (field_arith, ce_complex):
+        if hasattr(module, "_rref"):
+            monkeypatch.setattr(module, "_rref", counted)
+    cohomology(filiform(7))
+    assert len(calls) == 8
 
 
 def test_cohomology_rejects_jacobi_violations():

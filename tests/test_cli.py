@@ -139,6 +139,19 @@ def test_validate_parse_failures(tmp_path, capsys):
     assert "term index k must be an integer" in err
 
 
+def test_validate_rejects_nested_powers_past_the_cap(tmp_path):
+    # ((a+1)^100)^100 has degree 10^4: it must be refused, not computed
+    doc = {"name": "huge", "dimension": 2, "field": {"rational_function_in": "a"},
+           "brackets": [{"i": 1, "j": 2, "terms": [{"k": 2, "coeff": "((a+1)^100)^100"}]}]}
+    src = str(Path(liecohom.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "liecohom.cli", "validate", write_doc(tmp_path, doc)],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3, proc.stderr
+    assert "too large" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # cohomology
 

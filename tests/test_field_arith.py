@@ -15,6 +15,7 @@ from liecohom.field_arith import (
     RationalFunction,
     _echelon_insert,
     _reduce_against,
+    _rref,
     det_rows,
     format_scalar,
     parse_scalar,
@@ -87,6 +88,17 @@ def test_parse_rejects_garbage():
             parse_scalar(text, QQ)
     with pytest.raises(ParseError):
         parse_scalar("b + 1", FA)
+
+
+def test_parse_caps_the_product_of_nested_exponents():
+    # nested exponents multiply: each one under the cap is not enough
+    for text in ("2^1001", "(2^1000)^1000", "((a+1)^100)^100", "(2^10*(a^101+1))^10"):
+        with pytest.raises(ParseError):
+            parse_scalar(text, FA)
+    assert parse_scalar("((a+1)^5)^6", FA) == (A + 1) ** 30
+    assert parse_scalar("((a^2)^30)^15", FA) == A**900
+    assert parse_scalar("(2^10*3^100)^10", QQ) == 2**100 * 3**1000
+    assert parse_scalar("(a^999+1)^1 + (2^1)^1000", FA) == A**999 + 1 + 2**1000
 
 
 def test_parse_division_by_zero():
@@ -225,6 +237,19 @@ def test_echelon_insert_keeps_the_greedy_independent_set(field):
             reduced = _reduce_against(echelon, v)
             assert all(not reduced[lead] for lead, _ in echelon)
             assert (not any(reduced)) == (_oracle.gauss_rank(kept + [v]) == len(kept))
+
+
+@pytest.mark.parametrize("field", [QQ, FA])
+def test_rref_matches_gauss_jordan(field):
+    assert _rref([]) == _oracle.gauss_jordan([]) == ([], [])
+    rng = random.Random(11 if field is QQ else 12)
+    seen_tall = False
+    for n, vectors in _random_vector_lists(rng, field, 150 if field is QQ else 25):
+        before = [list(v) for v in vectors]
+        assert _rref(vectors) == _oracle.gauss_jordan(vectors)
+        assert vectors == before
+        seen_tall = seen_tall or len(vectors) > n
+    assert seen_tall
 
 
 def test_rank_rational_function_matrix():

@@ -54,7 +54,7 @@ cases = [
      lambda: lie_core.quotient_algebra(heis, centre)),
     ("abelian_betti", quotient_pipeline, "cohomology", wrong_betti,
      lambda: quotient_pipeline.dense_quotient_cohomology(DenseQuotientInput(heis, centre))),
-    ("chain_iso", quotient_pipeline, "chain_iso_check", lambda L, h: (1, None, "forced"),
+    ("chain_iso", quotient_pipeline, "_chain_iso_check", lambda L, h, qd: (1, None, "forced"),
      lambda: quotient_pipeline.dense_quotient_cohomology(DenseQuotientInput(heis, centre))),
 ]
 print("optimize=%d" % sys.flags.optimize)
@@ -111,7 +111,8 @@ def test_cli_cohomology_exits_6(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_quotient_exits_6(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(quotient_pipeline, "chain_iso_check", lambda L, h: (1, None, "forced"))
+    monkeypatch.setattr(quotient_pipeline, "_chain_iso_check",
+                        lambda L, h, qd: (1, None, "forced"))
     doc = {"algebra": HEIS, "ideal": {"vectors": [["0", "0", "1"]]}}
     assert main(["quotient", _write(tmp_path, doc)]) == 6
     captured = capsys.readouterr()

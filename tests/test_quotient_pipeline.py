@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -15,6 +16,7 @@ from liecohom.ce_complex import (
     horizontal_basis,
     index_tuples,
 )
+from liecohom.cli import main
 from liecohom.errors import (
     DimensionCapExceeded,
     DimensionMismatch,
@@ -399,9 +401,9 @@ def test_span_questions_take_no_reduced_echelon_form(monkeypatch):
     calls = []
     real_rref = lie_core._rref
 
-    def counted(rows, ncols):
-        calls.append(ncols)
-        return real_rref(rows, ncols)
+    def counted(rows):
+        calls.append(rows)
+        return real_rref(rows)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("_rref called for a span question")
@@ -422,6 +424,25 @@ def test_span_questions_take_no_reduced_echelon_form(monkeypatch):
     assert chain_iso_check(L, heis_center()) is None
     assert chain_iso_check(so3_plus_line(), Subspace(4, [[0, 0, 0, 1]], QQ)) is None
     assert len(calls) == 3
+
+
+def test_quotient_request_builds_the_quotient_once(monkeypatch, tmp_path, capsys):
+    # the chain-iso check reuses the pipeline's quotient instead of building
+    # it again
+    calls = []
+    real = lie_core.quotient_algebra
+
+    def counted(L, h):
+        calls.append(L.name)
+        return real(L, h)
+
+    for module in (lie_core, quotient_pipeline):
+        monkeypatch.setattr(module, "quotient_algebra", counted)
+    path = tmp_path / "pipeline.json"
+    path.write_text(json.dumps(pipeline_doc()), encoding="utf-8")
+    assert main(["quotient", str(path)]) == 0
+    assert "chain_iso: verified" in capsys.readouterr().out
+    assert calls == ["heisenberg3"]
 
 
 # ---------------------------------------------------------------------------
