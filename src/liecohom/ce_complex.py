@@ -12,13 +12,17 @@ which on left-invariant forms of a Lie group agrees with the ordinary
 exterior derivative.  In degree 0 the sum is empty, so d vanishes on
 constants.
 
-evaluate computes that sum by definition, but nothing on the cohomology
-path evaluates it.  d is built from the structure constants instead: on
-1-forms the sum reads d t[m] = -sum over i < j of c^m_ij t[i,j], and the
-graded Leibniz rule extends it to every basis tuple, one sparse column at
-a time.
+evaluate computes that sum by definition, one determinant per basis tuple,
+but nothing on the cohomology path evaluates it.  Over Q it clears the
+denominators of its arguments and coefficients once, so every minor is an
+integer determinant and one Fraction is built per call.
+
+d is built from the structure constants instead: on 1-forms the sum reads
+d t[m] = -sum over i < j of c^m_ij t[i,j], and the graded Leibniz rule
+extends it to every basis tuple, one sparse column at a time.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -31,7 +35,15 @@ from .errors import (
     JacobiViolation,
     MixedFields,
 )
-from .field_arith import Matrix, _echelon_insert, det_rows, format_scalar, rank_and_kernel
+from .field_arith import (
+    Matrix,
+    _bareiss_det,
+    _echelon_insert,
+    _integer_row,
+    det_rows,
+    format_scalar,
+    rank_and_kernel,
+)
 from .lie_core import jacobi_check
 
 DEFAULT_MAX_DIM = 20
@@ -197,7 +209,10 @@ def evaluate(form, args):
 
     A basis form t[I] evaluated on (Z_1, ..., Z_k) is the determinant of
     the k x k matrix with entry (r, c) = coordinate I_r of Z_c; general
-    forms follow by linearity.
+    forms follow by linearity.  Over Q the denominators are cleared once,
+    one lcm per argument vector and one over the coefficients, so each
+    minor is an integer determinant (_bareiss_det) and a single Fraction
+    is built at the end.  Over Q(a) each minor goes to det_rows.
     """
     if len(args) != form.degree:
         raise ArityMismatch(
@@ -207,11 +222,25 @@ def evaluate(form, args):
     args = [[field.coerce(x) for x in v] for v in args]
     if any(len(v) != form.ambient for v in args):
         raise DimensionMismatch("argument vectors must have length %d" % form.ambient)
-    total = field.zero
-    for idx, coeff in form.coeffs.items():
-        minor = [[v[a - 1] for v in args] for a in idx]
-        total = total + coeff * det_rows(minor, field)
-    return total
+    if not field.is_rationals:
+        total = field.zero
+        for idx, coeff in form.coeffs.items():
+            minor = [[v[a - 1] for v in args] for a in idx]
+            total = total + coeff * det_rows(minor, field)
+        return total
+    columns = []
+    scale = 1
+    for v in args:
+        column, den = _integer_row(v)
+        columns.append(column)
+        scale *= den
+    # coordinate rows: coords[a - 1] holds coordinate a of every argument
+    coords = list(zip(*columns))
+    ints, den = _integer_row(form.coeffs.values())
+    total = 0
+    for idx, c in zip(form.coeffs, ints):
+        total += c * _bareiss_det([coords[a - 1] for a in idx])
+    return Fraction(total, den * scale)
 
 
 def _merge_sign(lhs, rhs):

@@ -13,6 +13,9 @@ gcd splitting, which skips every gcd with a constant argument.
 No other module eliminates.  _echelon_insert, with _reduce_against,
 answers every independence and membership question one vector at a time;
 _rref, the full reduced form, is insertion of every row plus back-reduction.
+Determinants: det_rows is Gaussian over either field.  Over Q, evaluate
+clears denominators (_integer_row) and takes each minor with
+_bareiss_det, fraction-free, so no Fraction is built inside it.
 
 Scalar text syntax, used by every file format, is ordinary arithmetic
 notation over integers and at most one indeterminate.  Whitespace is
@@ -28,6 +31,7 @@ Fraction(3, 4)
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DimensionMismatch,
@@ -574,6 +578,9 @@ def _parse_sum(toks, field):
             return value
         rhs = _parse_product(toks, field)
         value = value + rhs if op == "+" else value - rhs
+        # both terms were under the cap, so forming the sum was one bounded
+        # step; shared denominator factors cancel, so cap what is left
+        _cap_degree(max(_degrees(value)))
 
 
 def _parse_product(toks, field):
@@ -583,6 +590,7 @@ def _parse_product(toks, field):
         if op is None:
             return value
         rhs = _parse_unary(toks, field)
+        _check_degree(value, op, rhs)
         if op == "*":
             value = value * rhs
         else:
@@ -615,9 +623,42 @@ def _parse_power(toks, field):
         chain *= val
         if chain > _MAX_EXPONENT:
             raise ParseError("exponent %d too large (nested exponents multiply)" % chain)
+        _check_degree(base, "^", val)
         base = base**val
     toks.chain = max(outer, chain)
     return base
+
+
+def _check_degree(lhs, op, rhs):
+    """Refuse lhs op rhs, for op one of "*", "/" and "^", before it is
+    formed when its numerator or denominator, before any cancellation,
+    would pass degree _MAX_EXPONENT.
+
+    The exponent cap alone bounds one chain of powers, not a product of
+    them.  A power of a reduced fraction cancels nothing, so its bound is
+    exact; a product is refused by its unreduced degree even where
+    numerator and denominator factors would cancel.  rhs is the integer
+    exponent when op is "^".
+    """
+    an, ad = _degrees(lhs)
+    if op == "^":
+        num, den = an * rhs, ad * rhs
+    else:
+        bn, bd = _degrees(rhs)
+        num, den = (an + bn, ad + bd) if op == "*" else (an + bd, ad + bn)
+    _cap_degree(max(num, den))
+
+
+def _cap_degree(degree):
+    if degree > _MAX_EXPONENT:
+        raise ParseError("degree %d too large (the cap is %d)" % (degree, _MAX_EXPONENT))
+
+
+def _degrees(value):
+    """(numerator degree, denominator degree) of a scalar; (0, 0) over Q."""
+    if isinstance(value, RationalFunction):
+        return max(value.num.degree, 0), value.den.degree
+    return 0, 0
 
 
 def _parse_atom(toks, field):
@@ -818,8 +859,53 @@ def solve_in_span(basis, target):
     return coeffs
 
 
+def _integer_row(values):
+    """(integers, den): the rationals in values times den, the lcm of their
+    denominators, so that values = integers / den."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _bareiss_det(rows):
+    """Determinant of a square integer matrix, given as a sequence of rows,
+    by fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968).
+
+    Step c replaces each entry right of and below the pivot by a 2 x 2
+    minor with the pivot, divided by the previous pivot; that division is
+    exact, so every entry stays an integer and the last one is the
+    determinant.  A zero pivot is swapped with a later row, flipping the
+    sign.  Mutates nothing.
+    """
+    m = [list(r) for r in rows]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for c in range(n - 1):
+        if not m[c][c]:
+            for p in range(c + 1, n):
+                if m[p][c]:
+                    m[c], m[p] = m[p], m[c]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = m[c]
+        pivot = pivot_row[c]
+        for i in range(c + 1, n):
+            row = m[i]
+            f = row[c]
+            for j in range(c + 1, n):
+                row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1]
+
+
 def det_rows(rows, field):
-    """Exact determinant of a small square matrix given as a list of rows."""
+    """Exact determinant of a small square matrix given as a list of rows,
+    by one Gaussian loop over either field.  evaluate over Q does not come
+    here: it clears denominators itself and calls _bareiss_det."""
     n = len(rows)
     if n == 0:
         return field.one

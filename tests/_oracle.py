@@ -55,6 +55,11 @@ def eval_basis_form(idx, vectors):
     return total
 
 
+def permutation_det(rows):
+    """Determinant of a square matrix by the permutation sum over its rows."""
+    return eval_basis_form(tuple(range(1, len(rows) + 1)), rows)
+
+
 def coboundary_matrix(L, k):
     """d in degree k as a dense list of rows, C(n, k+1) x C(n, k)."""
     n = L.dim

@@ -143,6 +143,62 @@ def test_evaluate_matches_oracle_on_random_inputs():
         assert evaluate(basis_form(QQ, n, idx), args) == _oracle.eval_basis_form(idx, args)
 
 
+def dense_form(rng, field, n, degree):
+    """A form with every coefficient nonzero, some with large denominators."""
+    coeffs = {}
+    for idx in index_tuples(n, degree):
+        x = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.choice([1, 7, 10**9 + 9]))
+        coeffs[idx] = x * (A + rng.randint(1, 3)) / (A - rng.randint(0, 2)) if field is FA else x
+    return ExteriorForm(n, degree, field, coeffs)
+
+
+def argument_vectors(rng, field, n, k, kind):
+    """k vectors of length n: plain ints, small fractions with one zero
+    vector or one repeated vector, or large denominators; over Q(a) some
+    entries are nonconstant."""
+    if kind == "int":
+        return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+    if kind == "large":
+        vecs = [[Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**15))
+                 for _ in range(n)] for _ in range(k)]
+    else:
+        vecs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(k)]
+    if field is FA:
+        vecs = [[x * A + 1 if x and rng.random() < 0.3 else x for x in v] for v in vecs]
+    if kind == "zero" and k:
+        vecs[rng.randrange(k)] = [0] * n
+    if kind == "repeated" and k >= 2:
+        i, j = rng.sample(range(k), 2)
+        vecs[j] = list(vecs[i])
+    return vecs
+
+
+@pytest.mark.parametrize("field", [QQ, FA])
+def test_evaluate_dense_forms_matches_oracle_in_every_degree(field, monkeypatch):
+    if field is QQ:
+        # over Q every minor is an integer determinant; det_rows is never called
+        def forbidden(*args, **kwargs):
+            raise AssertionError("det_rows called while evaluating over Q")
+
+        monkeypatch.setattr(ce_complex, "det_rows", forbidden)
+        monkeypatch.setattr(field_arith, "det_rows", forbidden)
+        assert evaluate(zero_form(QQ, 3, 2), [[1, 2, 3], [4, 5, 6]]) == 0
+    rng = random.Random(41 if field is QQ else 42)
+    for n in range(7):
+        for k in range(n + 1):
+            form = dense_form(rng, field, n, k)
+            for kind in ("int", "zero", "repeated", "large"):
+                args = argument_vectors(rng, field, n, k, kind)
+                expected = sum((c * _oracle.eval_basis_form(idx, args)
+                                for idx, c in form.coeffs.items()), field.zero)
+                value = evaluate(form, args)
+                assert value == expected
+                assert field_arith.field_of(value) == field
+                if kind in ("zero", "repeated") and k >= 2:
+                    assert not value
+
+
 def test_wedge_examples():
     w = wedge(t(3, 1), t(3, 2))
     assert w.coeffs == {(1, 2): 1}

@@ -140,16 +140,18 @@ def test_validate_parse_failures(tmp_path, capsys):
 
 
 def test_validate_rejects_nested_powers_past_the_cap(tmp_path):
-    # ((a+1)^100)^100 has degree 10^4: it must be refused, not computed
-    doc = {"name": "huge", "dimension": 2, "field": {"rational_function_in": "a"},
-           "brackets": [{"i": 1, "j": 2, "terms": [{"k": 2, "coeff": "((a+1)^100)^100"}]}]}
+    # ((a+1)^100)^100 has degree 10^4, and the product of four factors of
+    # degree 600 has degree 2400: each must be refused, not computed
     src = str(Path(liecohom.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "liecohom.cli", "validate", write_doc(tmp_path, doc)],
-        env=env, capture_output=True, text=True, timeout=10)
-    assert proc.returncode == 3, proc.stderr
-    assert "too large" in proc.stderr
+    for coeff in ("((a+1)^100)^100", "(a+1)^600*(a+1)^600*(a+1)^600*(a+1)^600"):
+        doc = {"name": "huge", "dimension": 2, "field": {"rational_function_in": "a"},
+               "brackets": [{"i": 1, "j": 2, "terms": [{"k": 2, "coeff": coeff}]}]}
+        proc = subprocess.run(
+            [sys.executable, "-m", "liecohom.cli", "validate", write_doc(tmp_path, doc)],
+            env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 3, proc.stderr
+        assert "too large" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

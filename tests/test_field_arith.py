@@ -101,6 +101,30 @@ def test_parse_caps_the_product_of_nested_exponents():
     assert parse_scalar("(a^999+1)^1 + (2^1)^1000", FA) == A**999 + 1 + 2**1000
 
 
+def test_parse_caps_the_degree_of_products_sums_and_quotients():
+    # each operand is under the cap, the result is not: products, quotients
+    # and powers are refused before they are formed
+    for text in ("a^600*a^600", "(a+1)^60*a^950", "1/a^600/(a+1)^60/a^400",
+                 "a^600/(1/a^500)", "(a*a+1)^501", "-(a^999)*a*a"):
+        with pytest.raises(ParseError, match="degree"):
+            parse_scalar(text, FA)
+    # a product is capped by its unreduced degree, even where it cancels
+    with pytest.raises(ParseError, match="degree 1100"):
+        parse_scalar("(a^600/(a^500+1)) * ((a^500+1)/a^600)", FA)
+    # a sum is capped by its reduced degree
+    for text in ("a^600 + 1/a^600", "1/a^600 + 1/(a^600+1)", "1/(a^500+1)^2 - 1/(a^1000+1)"):
+        with pytest.raises(ParseError, match="degree"):
+            parse_scalar(text, FA)
+    assert parse_scalar("1/a^600 + 1/a^600", FA) == 2 / A**600
+    assert parse_scalar("a^1000/(a+1) + 1/(a+1)", FA) == (A**1000 + 1) / (A + 1)
+    assert parse_scalar("a^999/(a^600+1) - (a^999-1)/(a^600+1)", FA) == 1 / (A**600 + 1)
+    assert parse_scalar("(a+1)^300", FA) == (A + 1) ** 300
+    assert parse_scalar("(a^30+1)^30 - a^1000", FA) == (A**30 + 1) ** 30 - A**1000
+    assert parse_scalar("a^999*a + a^600*(a^400 - 1)", FA) == 2 * A**1000 - A**600
+    assert parse_scalar("a^500/(a^500+1) - 1", FA) == -1 / (A**500 + 1)
+    assert parse_scalar("2^1000*2^1000*3^1000", QQ) == 2**2000 * 3**1000
+
+
 def test_parse_division_by_zero():
     with pytest.raises(DivisionByZero):
         parse_scalar("1/0", QQ)
@@ -273,6 +297,69 @@ def test_det_rows():
     assert det_rows([], QQ) == 1
     assert det_rows([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]], QQ) == -2
     assert det_rows([[A, FA.one], [A, FA.one]], FA) == FA.zero
+    assert det_rows([], FA) == FA.one
+    with pytest.raises(DimensionMismatch):
+        det_rows([[1, 2]], QQ)
+    with pytest.raises(DimensionMismatch):
+        det_rows([[A, 1], [1]], FA)
+
+
+def _random_square_matrices(rng, field, count):
+    """Square matrices of size 0..5, with large denominators, zero pivots
+    that force a row swap, zero rows, repeated rows and dependent rows."""
+    def scalar():
+        x = Fraction(rng.choice([0, 0, 1, -1, 2, 7]), rng.choice([1, 1, 3, 10**12 + 39]))
+        if field is FA and rng.random() < 0.3:
+            return (x * A + rng.randint(-1, 1)) / (A + rng.randint(1, 3))
+        return field.coerce(x)
+
+    for _ in range(count):
+        n = rng.randint(0, 5)
+        rows = [[scalar() for _ in range(n)] for _ in range(n)]
+        kind = rng.random()
+        if n >= 2 and kind < 0.2:
+            rows[0][0] = field.zero
+        elif n >= 2 and kind < 0.3:
+            rows[rng.randrange(n)] = [field.zero] * n
+        elif n >= 2 and kind < 0.4:
+            i, j = rng.sample(range(n), 2)
+            rows[j] = list(rows[i])
+        elif n >= 3 and kind < 0.5:
+            i, j, k = rng.sample(range(n), 3)
+            c = scalar()
+            rows[k] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        yield rows
+
+
+@pytest.mark.parametrize("field", [QQ, FA])
+def test_det_rows_matches_the_permutation_sum(field):
+    # the second pivot is zero after the first step, in both fields
+    swap = [[1, 2, 3], [2, 4, 5], [1, 0, 1]]
+    rows = [[field.coerce(x) for x in r] for r in swap]
+    assert det_rows(rows, field) == _oracle.permutation_det(rows) == -2
+    rng = random.Random(31 if field is QQ else 32)
+    sizes, singular = set(), 0
+    for rows in _random_square_matrices(rng, field, 300 if field is QQ else 60):
+        before = [list(r) for r in rows]
+        det = det_rows(rows, field)
+        assert det == _oracle.permutation_det(rows)
+        assert field_arith.field_of(det) == field
+        assert rows == before
+        sizes.add(len(rows))
+        singular += not det
+    assert sizes == set(range(6)) and singular >= 10
+
+
+def test_bareiss_det_stays_in_the_integers():
+    rng = random.Random(33)
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        rows = [[rng.choice([0, 0, 1, -1, 3, 10**15 + 37]) for _ in range(n)] for _ in range(n)]
+        before = [list(r) for r in rows]
+        det = field_arith._bareiss_det(rows)
+        assert type(det) is int
+        assert det == _oracle.permutation_det(rows)
+        assert rows == before
 
 
 def test_solve_in_span_dependent_basis():
