@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     DivisionByZero,
     Error,
+    InvalidParameter,
     JacobiViolation,
     MixedFields,
     NotAnIdeal,

@@ -15,7 +15,10 @@ constants.
 evaluate computes that sum by definition, one determinant per basis tuple,
 but nothing on the cohomology path evaluates it.  Over Q it clears the
 denominators of its arguments and coefficients once, so every minor is an
-integer determinant and one Fraction is built per call.
+integer determinant and one Fraction is built per call.  shuffle_eval
+evaluates alpha ^ beta as a sum over pairs of arguments without forming
+the product; it prepares its arguments and both forms' coefficients once
+per call, not once per term, with the same helpers evaluate uses.
 
 d is built from the structure constants instead: on 1-forms the sum reads
 d t[m] = -sum over i < j of c^m_ij t[i,j], and the graded Leibniz rule
@@ -23,6 +26,7 @@ extends it to every basis tuple, one sparse column at a time.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -204,6 +208,44 @@ def form_to_vector(form):
     ]
 
 
+def _cleared(field, values):
+    """values as (entries, den) with values = entries / den.
+
+    Over Q the entries are integers and den is the lcm of the values'
+    denominators; over Q(a) the entries are the values and den is 1.
+    """
+    if field.is_rationals:
+        return _integer_row(values)
+    return list(values), 1
+
+
+def _prepared_args(field, ambient, args):
+    """Argument vectors coerced into the field, checked for length, and
+    each cleared of its denominators (_cleared)."""
+    args = [[field.coerce(x) for x in v] for v in args]
+    if any(len(v) != ambient for v in args):
+        raise DimensionMismatch("argument vectors must have length %d" % ambient)
+    return [_cleared(field, v) for v in args]
+
+
+def _evaluate_cleared(form, coeffs, args):
+    """form on prepared argument vectors (_prepared_args), given its
+    coefficients as _cleared(form.field, form.coeffs.values())."""
+    field = form.field
+    entries, den = coeffs
+    for _, arg_den in args:
+        den *= arg_den
+    # coordinate rows: coords[a - 1] holds coordinate a of every argument
+    coords = list(zip(*(column for column, _ in args)))
+    if field.is_rationals:
+        det, total = _bareiss_det, 0
+    else:
+        det, total = partial(det_rows, field=field), field.zero
+    for idx, c in zip(form.coeffs, entries):
+        total = total + c * det([coords[a - 1] for a in idx])
+    return Fraction(total, den) if field.is_rationals else total
+
+
 def evaluate(form, args):
     """Evaluate a form on coordinate vectors.
 
@@ -219,28 +261,8 @@ def evaluate(form, args):
             "degree-%d form applied to %d vectors" % (form.degree, len(args))
         )
     field = form.field
-    args = [[field.coerce(x) for x in v] for v in args]
-    if any(len(v) != form.ambient for v in args):
-        raise DimensionMismatch("argument vectors must have length %d" % form.ambient)
-    if not field.is_rationals:
-        total = field.zero
-        for idx, coeff in form.coeffs.items():
-            minor = [[v[a - 1] for v in args] for a in idx]
-            total = total + coeff * det_rows(minor, field)
-        return total
-    columns = []
-    scale = 1
-    for v in args:
-        column, den = _integer_row(v)
-        columns.append(column)
-        scale *= den
-    # coordinate rows: coords[a - 1] holds coordinate a of every argument
-    coords = list(zip(*columns))
-    ints, den = _integer_row(form.coeffs.values())
-    total = 0
-    for idx, c in zip(form.coeffs, ints):
-        total += c * _bareiss_det([coords[a - 1] for a in idx])
-    return Fraction(total, den * scale)
+    return _evaluate_cleared(form, _cleared(field, form.coeffs.values()),
+                             _prepared_args(field, form.ambient, args))
 
 
 def _merge_sign(lhs, rhs):
@@ -285,6 +307,11 @@ def shuffle_eval(alpha, beta, args):
 
         (alpha ^ beta)(Z_0, ..., Z_k) = sum over i < j of
             (-1)^(i+j-1) alpha(Z_i, Z_j) beta(Z_0, ..., no Z_i, no Z_j, ...)
+
+    The arguments are coerced, checked and cleared of their denominators
+    once, and so are alpha's and beta's coefficients; each term then
+    evaluates alpha or beta on a subset of the prepared arguments, as
+    evaluate would on the original ones.
     """
     if alpha.degree != 2:
         raise ArityMismatch("shuffle evaluation needs a 2-form on the left")
@@ -295,14 +322,17 @@ def shuffle_eval(alpha, beta, args):
             "expected %d argument vectors, got %d" % (k + 1, len(args))
         )
     field = alpha.field
+    args = _prepared_args(field, alpha.ambient, args)
+    alpha_coeffs = _cleared(field, alpha.coeffs.values())
+    beta_coeffs = _cleared(field, beta.coeffs.values())
     total = field.zero
     for i in range(k + 1):
         for j in range(i + 1, k + 1):
-            first = evaluate(alpha, [args[i], args[j]])
+            first = _evaluate_cleared(alpha, alpha_coeffs, [args[i], args[j]])
             if not first:
                 continue
             rest = [args[c] for c in range(k + 1) if c != i and c != j]
-            term = first * evaluate(beta, rest)
+            term = first * _evaluate_cleared(beta, beta_coeffs, rest)
             if (i + j - 1) % 2:
                 term = -term
             total = total + term

@@ -37,6 +37,11 @@ class DimensionCapExceeded(Error, ValueError):
     """Algebra dimension exceeds the configured cap (the complex has 2^n basis forms)."""
 
 
+class InvalidParameter(Error, ValueError):
+    """A numeric parameter is out of range: a sample count below 1, or a
+    step or tolerance that is not positive and finite."""
+
+
 class SingularMatrix(Error, ValueError):
     """A group point drifted too close to the singular locus."""
 

@@ -12,13 +12,21 @@ sign bridge behind the exact coboundary: d t (Z0, Z1) = -t([Z0, Z1]) for
 every left-invariant 1-form t.  one_form_sign_check verifies that exact
 statement degree by degree against the structure constants.
 
+maurer_cartan_check draws its samples one at a time, in a fixed order,
+then computes both sides for all of them at once with the private kernels
+behind numeric_dtheta and commutator_dtheta.  A stacked det, solve or
+product makes the same LAPACK or BLAS call per matrix as one point does,
+so the result is bit for bit that of a loop over the samples.
+
 numpy is imported inside the functions that use it, not at module level:
 the package imports this module on every command, and the exact commands
 (cohomology, quotient, validate, catalog) never load numpy.
 """
 
+import math
+
 from .ce_complex import ce_differential, index_tuples
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, InvalidParameter, SingularMatrix
 
 DET_THRESHOLD = 1e-8
 DEFAULT_TOL = 1e-6
@@ -71,9 +79,49 @@ def _as_array(g):
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatch("group point must be a square matrix")
-    if abs(np.linalg.det(g)) <= DET_THRESHOLD:
-        raise SingularMatrix("matrix determinant too close to zero")
+    _check_invertible(g)
     return g
+
+
+def _check_invertible(g):
+    """Raise SingularMatrix unless g, one matrix or a stack, is safely invertible."""
+    import numpy as np
+
+    if np.any(np.abs(np.linalg.det(g)) <= DET_THRESHOLD):
+        raise SingularMatrix("matrix determinant too close to zero")
+
+
+def _tangent(g, dg):
+    """dg as a float array of g's shape."""
+    import numpy as np
+
+    dg = np.asarray(dg, dtype=float)
+    if dg.shape != g.shape:
+        raise DimensionMismatch("tangent matrix shape %r, expected %r" % (dg.shape, g.shape))
+    return dg
+
+
+def _difference_quotient(g, v, w, step):
+    """Central-difference d Theta (v, w) at g: one point, or a stack of
+    points with matching stacks of directions.
+
+    The four displaced points g +- step v and g +- step w are det-checked
+    together and then solved against in one stacked call.
+    """
+    import numpy as np
+
+    displaced = np.stack([g + step * v, g - step * v, g + step * w, g - step * w])
+    _check_invertible(displaced)
+    x = np.linalg.solve(displaced, np.stack([w, w, v, v]))
+    return (x[0] - x[1]) / (2.0 * step) - (x[2] - x[3]) / (2.0 * step)
+
+
+def _commutator(g, v, w):
+    """[Theta(w), Theta(v)] at g, one point or a stack, from one stacked solve."""
+    import numpy as np
+
+    tv, tw = np.linalg.solve(np.stack([g, g]), np.stack([v, w]))
+    return tw @ tv - tv @ tw
 
 
 def theta(g, dg):
@@ -81,10 +129,7 @@ def theta(g, dg):
     import numpy as np
 
     g = _as_array(g)
-    dg = np.asarray(dg, dtype=float)
-    if dg.shape != g.shape:
-        raise DimensionMismatch("tangent matrix shape %r, expected %r" % (dg.shape, g.shape))
-    return np.linalg.solve(g, dg)
+    return np.linalg.solve(g, _tangent(g, dg))
 
 
 def numeric_dtheta(g, v, w, step=DEFAULT_STEP):
@@ -92,21 +137,14 @@ def numeric_dtheta(g, v, w, step=DEFAULT_STEP):
 
     Second order: the truncation error scales as step squared.
     """
-    import numpy as np
-
     g = _as_array(g)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    d_v = (theta(g + step * v, w) - theta(g - step * v, w)) / (2.0 * step)
-    d_w = (theta(g + step * w, v) - theta(g - step * w, v)) / (2.0 * step)
-    return d_v - d_w
+    return _difference_quotient(g, _tangent(g, v), _tangent(g, w), step)
 
 
 def commutator_dtheta(g, v, w):
     """The exact right side [Theta(w), Theta(v)] at g."""
-    tv = theta(g, v)
-    tw = theta(g, w)
-    return tw @ tv - tv @ tw
+    g = _as_array(g)
+    return _commutator(g, _tangent(g, v), _tangent(g, w))
 
 
 def maurer_cartan_check(n, samples=100, tol=DEFAULT_TOL, step=DEFAULT_STEP, seed=0):
@@ -116,23 +154,39 @@ def maurer_cartan_check(n, samples=100, tol=DEFAULT_TOL, step=DEFAULT_STEP, seed
     to the singular locus are rejected and redrawn (counted in the result).
     The draw sequence depends only on the seed, not on the step, so the
     same samples can be re-run at several steps.
+
+    Each sample is drawn in the order g (redrawn while too close to
+    singular), v, w; then all samples are checked at once, bit for bit as
+    a loop over numeric_dtheta and commutator_dtheta would.  Raises
+    SingularMatrix if a displaced point g +- step v, g +- step w is too
+    close to singular, DimensionMismatch if n < 1, and InvalidParameter if
+    samples < 1 or step or tol is not positive and finite.
     """
+    if n < 1:
+        raise DimensionMismatch("matrix size must be at least 1, got %r" % (n,))
+    if samples < 1:
+        raise InvalidParameter("sample count must be at least 1, got %r" % (samples,))
+    for name, value in (("tolerance", tol), ("step", step)):
+        if not (0 < value < math.inf):
+            raise InvalidParameter("%s must be positive and finite, got %r" % (name, value))
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    max_err = 0.0
     resampled = 0
-    for _ in range(samples):
+    g = np.empty((samples, n, n))
+    v = np.empty((samples, n, n))
+    w = np.empty((samples, n, n))
+    for s in range(samples):
         while True:
-            g = np.eye(n) + PERTURBATION * rng.uniform(-1.0, 1.0, size=(n, n))
-            if abs(np.linalg.det(g)) > DET_THRESHOLD:
+            g[s] = np.eye(n) + PERTURBATION * rng.uniform(-1.0, 1.0, size=(n, n))
+            if abs(np.linalg.det(g[s])) > DET_THRESHOLD:
                 break
             resampled += 1
-        v = rng.uniform(-1.0, 1.0, size=(n, n))
-        w = rng.uniform(-1.0, 1.0, size=(n, n))
-        err = np.max(np.abs(numeric_dtheta(g, v, w, step) - commutator_dtheta(g, v, w)))
-        if err > max_err:
-            max_err = float(err)
+        v[s] = rng.uniform(-1.0, 1.0, size=(n, n))
+        w[s] = rng.uniform(-1.0, 1.0, size=(n, n))
+    errs = np.abs(_difference_quotient(g, v, w, step) - _commutator(g, v, w)).max(axis=(1, 2))
+    # fmax skips a NaN error, as a running maximum kept with > does
+    max_err = float(np.fmax.reduce(errs, initial=0.0))
     return NumericCheckResult(max_err, step, samples, tol, resampled)
 
 

@@ -6,7 +6,8 @@ alternating-sum formula applied to every basis tuple, and ranks and
 reduced echelon forms come from a standalone Gauss-Jordan elimination.
 Only the structure-constant data of a LieAlgebra object is read.
 Rational functions in Q(a) are pairs of Fraction coefficient lists,
-reduced by their own Euclidean algorithm.
+reduced by their own Euclidean algorithm; QaScalar wraps such a pair
+with the ring operations that the Jacobiator of a Q(a) algebra needs.
 """
 
 from fractions import Fraction
@@ -15,11 +16,15 @@ from math import comb
 
 
 def _structure_constants(L):
-    """Read the table into a dense dict c[(i, j, k)] of Fractions, i < j."""
+    """Read the table into a dense dict c[(i, j, k)], i < j: Fractions over
+    Q, QaScalars over Q(a)."""
     table = {}
     for (i, j), terms in L.brackets.items():
         for k, coeff in terms.items():
-            table[(i, j, k)] = Fraction(coeff)
+            if isinstance(coeff, (int, Fraction)):
+                table[(i, j, k)] = Fraction(coeff)
+            else:
+                table[(i, j, k)] = QaScalar(list(coeff.num.coeffs), list(coeff.den.coeffs))
     return table
 
 
@@ -215,3 +220,49 @@ def poly_eval(p, x):
     for c in reversed(p):
         total = total * x + c
     return total
+
+
+class QaScalar:
+    """An element of Q(a) as a reduced (num, den) pair; mixes with Fractions.
+
+    Adding a zero Fraction returns the other side, and a product with a
+    Fraction only scales the numerator, which stays coprime to the
+    denominator; this keeps arithmetic on basis vectors cheap.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=(1,)):
+        self.num, self.den = reduce_fraction(num, den)
+
+    def __add__(self, other):
+        if not isinstance(other, QaScalar):
+            if not other:
+                return self
+            other = QaScalar([other])
+        return QaScalar(poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
+                        poly_mul(self.den, other.den))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, QaScalar):
+            return QaScalar(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
+        out = object.__new__(QaScalar)
+        out.num = [c * other for c in self.num] if other else []
+        out.den = self.den if other else [Fraction(1)]
+        return out
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __bool__(self):
+        return bool(self.num)

@@ -30,6 +30,7 @@ from liecohom.errors import (
     DimensionCapExceeded,
     DimensionMismatch,
     JacobiViolation,
+    MixedFields,
 )
 from liecohom.field_arith import Field, Matrix, QQ, RationalFunction, rank, rank_and_kernel
 from liecohom.lie_core import (
@@ -275,6 +276,95 @@ def test_shuffle_matches_wedge_randomized():
         beta = random_form(rng, n, beta_deg)
         args = [random_vector(rng, n) for _ in range(beta_deg + 2)]
         assert shuffle_eval(alpha, beta, args) == evaluate(wedge(alpha, beta), args)
+
+
+def shuffle_by_evaluate(alpha, beta, args):
+    """Reference shuffle sum: one public evaluate call per factor of each term."""
+    if alpha.degree != 2:
+        raise ArityMismatch("shuffle evaluation needs a 2-form on the left")
+    alpha._compatible(beta)
+    k = beta.degree + 1
+    if len(args) != k + 1:
+        raise ArityMismatch("expected %d argument vectors, got %d" % (k + 1, len(args)))
+    total = alpha.field.zero
+    for i in range(k + 1):
+        for j in range(i + 1, k + 1):
+            first = evaluate(alpha, [args[i], args[j]])
+            if not first:
+                continue
+            rest = [args[c] for c in range(k + 1) if c != i and c != j]
+            term = first * evaluate(beta, rest)
+            if (i + j - 1) % 2:
+                term = -term
+            total = total + term
+    return total
+
+
+PRIMES = (1000003, 998244353, 2**61 - 1)
+
+
+def prime_form(rng, field, n, degree):
+    """A dense form whose coefficients have large prime denominators."""
+    coeffs = {idx: Fraction(rng.randint(-10**9, 10**9), rng.choice(PRIMES))
+              for idx in index_tuples(n, degree)}
+    if field is FA:
+        coeffs = {idx: x * (A + rng.choice(PRIMES)) for idx, x in coeffs.items()}
+    return ExteriorForm(n, degree, field, coeffs)
+
+
+@pytest.mark.parametrize("field", [QQ, FA])
+def test_shuffle_eval_matches_per_pair_evaluate(field):
+    rng = random.Random(61 if field is QQ else 62)
+    # Q(a) arithmetic is slow, so there the forms stop at n = 4 and the
+    # large denominators are the prime ones only
+    kinds = ("int", "zero", "repeated", "large") if field is QQ else ("int", "zero")
+    for n in range(1, 6 if field is QQ else 5):
+        for beta_deg in range(n):
+            k = beta_deg + 2
+            cases = [(dense_form(rng, field, n, 2), dense_form(rng, field, n, beta_deg),
+                      argument_vectors(rng, field, n, k, kind))
+                     for kind in kinds]
+            primes = [[Fraction(rng.randint(-10**9, 10**9), rng.choice(PRIMES))
+                       for _ in range(n)] for _ in range(k)]
+            cases.append((prime_form(rng, field, n, 2), prime_form(rng, field, n, beta_deg),
+                           primes))
+            alpha, beta, args = cases[0]
+            cases.append((zero_form(field, n, 2), beta, args))
+            cases.append((alpha, zero_form(field, n, beta_deg), args))
+            for alpha, beta, args in cases:
+                value = shuffle_eval(alpha, beta, args)
+                assert value == shuffle_by_evaluate(alpha, beta, args)
+                assert field_arith.field_of(value) == field
+                if beta_deg == n - 1 or alpha.is_zero or beta.is_zero:
+                    # n + 1 vectors in dimension n, or a zero factor
+                    assert not value
+
+
+def test_shuffle_eval_raises_as_per_pair_evaluate():
+    FB = Field("b")
+    alpha, beta = t(3, 1, 2), t(3, 3)
+    good = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    alpha_a = ExteriorForm(3, 2, FA, {(1, 2): A})
+    beta_a = ExteriorForm(3, 1, FA, {(3,): 1})
+    cases = [
+        (ArityMismatch, t(3, 1), beta, good),
+        (ArityMismatch, alpha, beta, good[:2]),
+        (ArityMismatch, alpha, beta, good + [[1, 1, 1]]),
+        (DimensionMismatch, alpha, t(4, 3), good),
+        (MixedFields, alpha, beta_a, good),
+        (MixedFields, alpha, beta, [[1, 0, 0], [0, 1, 0], [0, 0, 0.5]]),
+        (MixedFields, alpha_a, beta_a, [[1, 0, 0], [0, FB.generator(), 0], [0, 0, 1]]),
+        (MixedFields, alpha, beta, [[A, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ]
+    for pos in range(3):
+        short = [list(v) for v in good]
+        short[pos] = short[pos][:2]
+        cases.append((DimensionMismatch, alpha, beta, short))
+        cases.append((DimensionMismatch, alpha_a, beta_a, short))
+    for expected, alpha, beta, args in cases:
+        for fn in (shuffle_by_evaluate, shuffle_eval):
+            with pytest.raises(expected):
+                fn(alpha, beta, args)
 
 
 # ---------------------------------------------------------------------------

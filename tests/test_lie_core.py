@@ -134,6 +134,45 @@ def test_selftest_jacobi_oracle_matches_jacobiator_on_all_ordered_triples():
     assert outcomes == {True, False}
 
 
+def test_selftest_jacobi_oracle_matches_jacobiator_over_qa():
+    # corruptions of the Q(a) catalog entries (dimension 2, where the
+    # identity always holds) and of Q(a) tables outside the catalog, some
+    # of which keep the identity, each against every ordered triple
+    rng = random.Random(53)
+    values = (A, A + 1, FA.one / (A + 2), FA.one * 2, -A * A)
+    bases = [entry.algebra for entry in selftest_entries() if entry.algebra.field == FA]
+    bases += [solv(3), solv(4),
+              LieAlgebra("heis_a", 3, FA, {(1, 2): {3: A}}),
+              LieAlgebra("sl2_a", 3, FA, {(1, 2): {2: 2 * A}, (1, 3): {3: -2 * A},
+                                          (2, 3): {1: FA.one / A}})]
+    algebras = list(bases)
+    for L in bases:
+        n = L.dim
+        slots = [(i, j, k) for i, j in combinations(range(1, n + 1), 2)
+                 for k in range(1, n + 1)]
+        for i, j, k in rng.sample(slots, min(len(slots), 8)):
+            table = {pair: dict(terms) for pair, terms in L.brackets.items()}
+            slot = table.setdefault((i, j), {})
+            slot[k] = slot.get(k, FA.zero) + rng.choice(values)
+            algebras.append(LieAlgebra("bad", n, FA, table))
+    for _ in range(12):
+        n = rng.randint(3, 4)
+        table = {}
+        for _ in range(rng.randint(1, 3)):
+            i, j = sorted(rng.sample(range(1, n + 1), 2))
+            table.setdefault((i, j), {})[rng.randint(1, n)] = rng.choice(values)
+        algebras.append(LieAlgebra("random", n, FA, table))
+    outcomes = []
+    for L in algebras:
+        triples = [(i, j, k) for i in range(1, L.dim + 1)
+                   for j in range(1, L.dim + 1) for k in range(1, L.dim + 1)]
+        holds = not any(any(_oracle.jacobiator(L, *t)) for t in triples)
+        assert _jacobi_holds_direct(L) == holds
+        outcomes.append(holds)
+    assert outcomes[:len(bases)] == [True] * len(bases)
+    assert outcomes.count(False) > 10 and outcomes[len(bases):].count(True) > 5
+
+
 def test_subspace_requires_independent_basis():
     with pytest.raises(ValueError):
         Subspace(2, [[1, 0], [2, 0]], QQ)

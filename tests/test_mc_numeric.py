@@ -3,12 +3,14 @@ import pytest
 
 from liecohom.catalog import CATALOG_KEYS, catalog_entry
 from liecohom.ce_complex import ce_differential
-from liecohom.errors import DimensionMismatch, SingularMatrix
+from liecohom.errors import DimensionMismatch, InvalidParameter, SingularMatrix
 from liecohom.field_arith import QQ
 from liecohom.lie_core import LieAlgebra
 from liecohom.mc_numeric import (
     DEFAULT_STEP,
     DEFAULT_TOL,
+    DET_THRESHOLD,
+    PERTURBATION,
     MatrixGroupPoint,
     NumericCheckResult,
     commutator_dtheta,
@@ -125,6 +127,72 @@ def test_determinism():
     assert a.resampled == b.resampled
     c = maurer_cartan_check(2, samples=30, seed=20)
     assert c.max_abs_error != a.max_abs_error
+
+
+def loop_check(n, samples, step, seed):
+    """Reference for maurer_cartan_check: the same draws, one sample at a
+    time through the public one-sample functions."""
+    rng = np.random.default_rng(seed)
+    max_err = 0.0
+    resampled = 0
+    for _ in range(samples):
+        while True:
+            g = np.eye(n) + PERTURBATION * rng.uniform(-1.0, 1.0, size=(n, n))
+            if abs(np.linalg.det(g)) > DET_THRESHOLD:
+                break
+            resampled += 1
+        v = rng.uniform(-1.0, 1.0, size=(n, n))
+        w = rng.uniform(-1.0, 1.0, size=(n, n))
+        err = np.max(np.abs(numeric_dtheta(g, v, w, step) - commutator_dtheta(g, v, w)))
+        if err > max_err:
+            max_err = float(err)
+    return max_err, resampled
+
+
+def test_stacked_check_equals_one_sample_loop_bit_for_bit():
+    steps = [DEFAULT_STEP] + [DEFAULT_STEP * f for f in (10.0, 5.0, 2.5, 1.25)]
+    for n in (1, 2, 3, 4):
+        for seed in (0, 1, 7, 2**62 + 5):
+            for step in steps:
+                result = maurer_cartan_check(n, samples=30, tol=1e-6, step=step, seed=seed)
+                assert (result.max_abs_error, result.resampled) == loop_check(n, 30, step, seed)
+
+
+def test_singular_displaced_point_raises():
+    # the first draw is g = 1 + 0.1 u, v, w for n = 1; a step of |g / v|
+    # puts g - step v or g + step v on the singular locus
+    seed = 3
+    rng = np.random.default_rng(seed)
+    g = 1.0 + PERTURBATION * rng.uniform(-1.0, 1.0)
+    v = rng.uniform(-1.0, 1.0)
+    step = abs(g / v)
+    with pytest.raises(SingularMatrix):
+        loop_check(1, 5, step, seed)
+    with pytest.raises(SingularMatrix):
+        maurer_cartan_check(1, samples=5, step=step, seed=seed)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_check_rejects_a_matrix_size_below_one(n, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", None)  # no draw may happen
+    with pytest.raises(DimensionMismatch):
+        maurer_cartan_check(n, samples=5)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_check_rejects_a_sample_count_below_one(samples, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(InvalidParameter):
+        maurer_cartan_check(2, samples=samples)
+
+
+@pytest.mark.parametrize("name", ["step", "tol"])
+@pytest.mark.parametrize("value", [0.0, -1e-4, float("inf"), float("nan")])
+def test_check_rejects_a_bad_step_or_tolerance(name, value, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(InvalidParameter) as info:
+        maurer_cartan_check(2, samples=5, **{name: value})
+    assert isinstance(info.value, ValueError)
 
 
 def test_result_fields():
