@@ -13,9 +13,10 @@ exterior derivative.  In degree 0 the sum is empty, so d vanishes on
 constants.
 
 evaluate computes that sum by definition, one determinant per basis tuple,
-but nothing on the cohomology path evaluates it.  Over Q it clears the
-denominators of its arguments and coefficients once, so every minor is an
-integer determinant and one Fraction is built per call.  shuffle_eval
+but nothing on the cohomology path evaluates it.  It clears the
+denominators of its arguments and coefficients once, so every minor is a
+determinant over Z or Q[a], taken by field_arith's one fraction-free
+kernel, and one scalar is built per call.  shuffle_eval
 evaluates alpha ^ beta as a sum over pairs of arguments without forming
 the product; it prepares its arguments and both forms' coefficients once
 per call, not once per term, with the same helpers evaluate uses.
@@ -26,7 +27,6 @@ extends it to every basis tuple, one sparse column at a time.
 """
 
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -40,12 +40,14 @@ from .errors import (
     MixedFields,
 )
 from .field_arith import (
+    _POLY_ONE,
     Matrix,
-    _bareiss_det,
+    RationalFunction,
+    _bareiss,
     _echelon_insert,
     _integer_row,
-    det_rows,
     format_scalar,
+    poly_gcd,
     rank_and_kernel,
 )
 from .lie_core import jacobi_check
@@ -209,14 +211,14 @@ def form_to_vector(form):
 
 
 def _cleared(field, values):
-    """values as (entries, den) with values = entries / den.
-
-    Over Q the entries are integers and den is the lcm of the values'
-    denominators; over Q(a) the entries are the values and den is 1.
-    """
+    """values as (entries, den) with values = entries / den, the entries
+    in Z or Q[a] and den the lcm of the values' denominators."""
     if field.is_rationals:
         return _integer_row(values)
-    return list(values), 1
+    den = _POLY_ONE
+    for x in values:
+        den = den * (x.den // poly_gcd(den, x.den))
+    return [x.num * (den // x.den) for x in values], den
 
 
 def _prepared_args(field, ambient, args):
@@ -237,13 +239,13 @@ def _evaluate_cleared(form, coeffs, args):
         den *= arg_den
     # coordinate rows: coords[a - 1] holds coordinate a of every argument
     coords = list(zip(*(column for column, _ in args)))
-    if field.is_rationals:
-        det, total = _bareiss_det, 0
-    else:
-        det, total = partial(det_rows, field=field), field.zero
+    one = 1 if field.is_rationals else _POLY_ONE
+    total = one * 0
     for idx, c in zip(form.coeffs, entries):
-        total = total + c * det([coords[a - 1] for a in idx])
-    return Fraction(total, den) if field.is_rationals else total
+        total = total + c * _bareiss([coords[a - 1] for a in idx], one)[1]
+    if field.is_rationals:
+        return Fraction(total, den)
+    return RationalFunction(field.var, total, den)
 
 
 def evaluate(form, args):
@@ -251,10 +253,10 @@ def evaluate(form, args):
 
     A basis form t[I] evaluated on (Z_1, ..., Z_k) is the determinant of
     the k x k matrix with entry (r, c) = coordinate I_r of Z_c; general
-    forms follow by linearity.  Over Q the denominators are cleared once,
-    one lcm per argument vector and one over the coefficients, so each
-    minor is an integer determinant (_bareiss_det) and a single Fraction
-    is built at the end.  Over Q(a) each minor goes to det_rows.
+    forms follow by linearity.  The denominators are cleared once, one lcm
+    per argument vector and one over the coefficients, so each minor is a
+    determinant over Z or Q[a], taken by the fraction-free kernel _bareiss,
+    and a single scalar is built at the end.
     """
     if len(args) != form.degree:
         raise ArityMismatch(

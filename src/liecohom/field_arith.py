@@ -13,9 +13,9 @@ gcd splitting, which skips every gcd with a constant argument.
 No other module eliminates.  _echelon_insert, with _reduce_against,
 answers every independence and membership question one vector at a time;
 _rref, the full reduced form, is insertion of every row plus back-reduction.
-Determinants: det_rows is Gaussian over either field.  Over Q, evaluate
-clears denominators (_integer_row) and takes each minor with
-_bareiss_det, fraction-free, so no Fraction is built inside it.
+One fraction-free kernel, _bareiss, takes rank and determinant over Z and
+Q[a]: every minor evaluate takes, once its denominators are cleared, and
+the selftest's rank oracle.
 
 Scalar text syntax, used by every file format, is ordinary arithmetic
 notation over integers and at most one indeterminate.  Whitespace is
@@ -36,6 +36,7 @@ from math import lcm
 from .errors import (
     DimensionMismatch,
     DivisionByZero,
+    InternalCheckFailed,
     MixedFields,
     ParseError,
 )
@@ -866,69 +867,61 @@ def _integer_row(values):
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def _bareiss_det(rows):
-    """Determinant of a square integer matrix, given as a sequence of rows,
+def _bareiss(rows, one=1):
+    """(rank, det) of a matrix over Z or Q[a], given as a sequence of rows,
     by fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968).
 
-    Step c replaces each entry right of and below the pivot by a 2 x 2
-    minor with the pivot, divided by the previous pivot; that division is
-    exact, so every entry stays an integer and the last one is the
-    determinant.  A zero pivot is swapped with a later row, flipping the
-    sign.  Mutates nothing.
+    Each step replaces every entry right of the pivot column and below the
+    pivot row by a 2 x 2 minor with the pivot, divided by the previous
+    pivot.  That division is exact, so every entry stays in the ring; a
+    nonzero remainder means the elimination is broken and raises
+    InternalCheckFailed.  A zero pivot is swapped with a later row,
+    flipping the sign, and a column with no pivot is skipped, so the
+    matrix may be rectangular and the step count is its rank.  det is the
+    sign times the last pivot when the matrix is square with full rank,
+    and the ring's zero otherwise; one is the ring's one.  Mutates nothing.
+
+    >>> _bareiss([[1, 2], [3, 4]])
+    (2, -2)
+    >>> _bareiss([[0, 2, 4], [0, 1, 2]])
+    (1, 0)
+    >>> _bareiss([])
+    (0, 1)
     """
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
+    m = list(rows)
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
     sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if not m[c][c]:
-            for p in range(c + 1, n):
+    prev = one
+    r = 0
+    for c in range(ncols):
+        pivot_row = m[r]
+        pivot = pivot_row[c]
+        if not pivot:
+            for p in range(r + 1, nrows):
                 if m[p][c]:
-                    m[c], m[p] = m[p], m[c]
+                    m[r], m[p] = m[p], pivot_row
+                    pivot_row = m[r]
+                    pivot = pivot_row[c]
                     sign = -sign
                     break
             else:
-                return 0
-        pivot_row = m[c]
-        pivot = pivot_row[c]
-        for i in range(c + 1, n):
+                continue
+        for i in range(r + 1, nrows):
+            # each step writes new rows, so the input is never written
             row = m[i]
             f = row[c]
-            for j in range(c + 1, n):
-                row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+            new = list(row)
+            for j in range(c + 1, ncols):
+                q, rem = divmod(pivot * row[j] - f * pivot_row[j], prev)
+                if rem:
+                    raise InternalCheckFailed("Bareiss divisibility violated")
+                new[j] = q
+            m[i] = new
         prev = pivot
-    return sign * m[-1][-1]
-
-
-def det_rows(rows, field):
-    """Exact determinant of a small square matrix given as a list of rows,
-    by one Gaussian loop over either field.  evaluate over Q does not come
-    here: it clears denominators itself and calls _bareiss_det."""
-    n = len(rows)
-    if n == 0:
-        return field.one
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatch("determinant of a non-square matrix")
-    rows = [list(r) for r in rows]
-    det = field.one
-    negate = False
-    for c in range(n):
-        p = None
-        for i in range(c, n):
-            if rows[i][c]:
-                p = i
-                break
-        if p is None:
-            return field.zero
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            negate = not negate
-        pivot = rows[c][c]
-        det = det * pivot
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / pivot
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return -det if negate else det
+        r += 1
+        if r == nrows:
+            break
+    if r == nrows == ncols:
+        return r, sign * prev
+    return r, one * 0

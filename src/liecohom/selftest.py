@@ -3,14 +3,15 @@
 Each suite draws its randomness from a child of one master seed and reports
 a deterministic check count, so the printed report is byte-identical across
 runs with the same seed.  Exact suites admit no tolerance at all; the
-numeric suite uses the configured tolerance and step.
+numeric suite uses the configured tolerance and step.  A package internal
+check that fails inside a suite (InternalCheckFailed) fails that suite.
 """
 
 import random
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
 from .catalog import selftest_entries
 from .ce_complex import (
@@ -27,10 +28,12 @@ from .ce_complex import (
     shuffle_eval,
     wedge,
 )
-from .errors import InvalidParameter, SingularMatrix
+from .errors import InternalCheckFailed, InvalidParameter, SingularMatrix
 from .field_arith import (
     Matrix,
     QQ,
+    _bareiss,
+    _integer_row,
     format_scalar,
     parse_scalar,
     rank,
@@ -118,7 +121,7 @@ def suite_linear_algebra(rng, tol, step):
         cols = rng.randint(0, 5)
         m = _random_matrix(rng, QQ, rows, cols)
         r, kernel = rank_and_kernel(m)
-        if r != _fraction_free_rank(m):
+        if r != _bareiss([_integer_row(row)[0] for row in m.to_rows()])[0]:
             raise SuiteFailure("echelon rank and fraction-free rank disagree")
         if r != rank(Matrix.from_rows(QQ, [m.col(j) for j in range(m.cols)], cols=m.rows)):
             raise SuiteFailure("rank differs from rank of the transpose")
@@ -130,40 +133,6 @@ def suite_linear_algebra(rng, tol, step):
             checks += 1
         checks += 3
     return checks
-
-
-def _fraction_free_rank(m):
-    """Rank by Bareiss elimination on a denominator-cleared integer copy.
-
-    An independent reference for the echelon rank: every division it makes
-    must be exact, and one that is not means the elimination is broken.
-    """
-    rows = []
-    for i in range(m.rows):
-        row = m.row(i)
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        rows.append([int(x * scale) for x in row])
-    prev = 1
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        p = next((i for i in range(r, m.rows) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, m.rows):
-            fi = rows[i][c]
-            for j in range(c + 1, m.cols):
-                q, rem = divmod(pivot * rows[i][j] - fi * rows[r][j], prev)
-                if rem:
-                    raise SuiteFailure("Bareiss divisibility violated")
-                rows[i][j] = q
-            rows[i][c] = 0
-        prev = pivot
-        r += 1
-    return r
 
 
 def suite_jacobi(rng, tol, step):
@@ -435,7 +404,7 @@ def run_selftest(seed=0, tol=DEFAULT_TOL, step=DEFAULT_STEP, out=None):
         child = random.Random(master.getrandbits(64))
         try:
             count = fn(child, tol, step)
-        except SuiteFailure as exc:
+        except (SuiteFailure, InternalCheckFailed) as exc:
             print("suite %s: FAIL (%s)" % (name, exc), file=out)
             all_ok = False
         else:

@@ -15,7 +15,7 @@ from itertools import combinations, permutations
 from math import comb
 
 
-def _structure_constants(L):
+def structure_constants(L):
     """Read the table into a dense dict c[(i, j, k)], i < j: Fractions over
     Q, QaScalars over Q(a)."""
     table = {}
@@ -68,7 +68,7 @@ def permutation_det(rows):
 def coboundary_matrix(L, k):
     """d in degree k as a dense list of rows, C(n, k+1) x C(n, k)."""
     n = L.dim
-    table = _structure_constants(L)
+    table = structure_constants(L)
     cols = list(combinations(range(1, n + 1), k))
     rows_idx = list(combinations(range(1, n + 1), k + 1))
 
@@ -135,14 +135,13 @@ def betti_numbers(L):
     return betti
 
 
-def jacobiator(L, i, j, k):
-    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] by direct expansion."""
-    n = L.dim
-    table = _structure_constants(L)
-
+def jacobiator(table, n, i, j, k):
+    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] by direct expansion,
+    on the dense table structure_constants(L) of a dimension-n algebra."""
+    # integer basis entries keep the factors in bracket_vectors out of Fraction
     def basis_vec(a):
-        v = [Fraction(0)] * n
-        v[a - 1] = Fraction(1)
+        v = [0] * n
+        v[a - 1] = 1
         return v
 
     total = [Fraction(0)] * n

@@ -177,14 +177,18 @@ def argument_vectors(rng, field, n, k, kind):
 
 @pytest.mark.parametrize("field", [QQ, FA])
 def test_evaluate_dense_forms_matches_oracle_in_every_degree(field, monkeypatch):
-    if field is QQ:
-        # over Q every minor is an integer determinant; det_rows is never called
-        def forbidden(*args, **kwargs):
-            raise AssertionError("det_rows called while evaluating over Q")
+    # every minor is cleared of denominators: integers over Q, polynomials
+    # over Q(a), so the kernel never sees a field scalar
+    ring = int if field is QQ else field_arith.Poly
+    real, minors = ce_complex._bareiss, []
 
-        monkeypatch.setattr(ce_complex, "det_rows", forbidden)
-        monkeypatch.setattr(field_arith, "det_rows", forbidden)
-        assert evaluate(zero_form(QQ, 3, 2), [[1, 2, 3], [4, 5, 6]]) == 0
+    def cleared_only(rows, one=1):
+        assert all(type(x) is ring for row in rows for x in row)
+        minors.append(len(rows))
+        return real(rows, one)
+
+    monkeypatch.setattr(ce_complex, "_bareiss", cleared_only)
+    assert evaluate(zero_form(field, 3, 2), [[1, 2, 3], [4, 5, 6]]) == 0
     rng = random.Random(41 if field is QQ else 42)
     for n in range(7):
         for k in range(n + 1):
@@ -198,6 +202,7 @@ def test_evaluate_dense_forms_matches_oracle_in_every_degree(field, monkeypatch)
                 assert field_arith.field_of(value) == field
                 if kind in ("zero", "repeated") and k >= 2:
                     assert not value
+    assert set(minors) == set(range(7))
 
 
 def test_wedge_examples():

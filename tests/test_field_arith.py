@@ -1,3 +1,4 @@
+import builtins
 import random
 from fractions import Fraction
 from math import comb
@@ -5,9 +6,16 @@ from math import comb
 import pytest
 
 import _oracle
-from liecohom import field_arith
-from liecohom.errors import DimensionMismatch, DivisionByZero, MixedFields, ParseError
+from liecohom import ce_complex, field_arith
+from liecohom.errors import (
+    DimensionMismatch,
+    DivisionByZero,
+    InternalCheckFailed,
+    MixedFields,
+    ParseError,
+)
 from liecohom.field_arith import (
+    _POLY_ONE,
     Field,
     Matrix,
     Poly,
@@ -16,7 +24,6 @@ from liecohom.field_arith import (
     _echelon_insert,
     _reduce_against,
     _rref,
-    det_rows,
     format_scalar,
     parse_scalar,
     rank,
@@ -293,20 +300,10 @@ def test_matrix_multiply_and_invert():
         m.mul_vec([FA.one, A])
 
 
-def test_det_rows():
-    assert det_rows([], QQ) == 1
-    assert det_rows([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]], QQ) == -2
-    assert det_rows([[A, FA.one], [A, FA.one]], FA) == FA.zero
-    assert det_rows([], FA) == FA.one
-    with pytest.raises(DimensionMismatch):
-        det_rows([[1, 2]], QQ)
-    with pytest.raises(DimensionMismatch):
-        det_rows([[A, 1], [1]], FA)
-
-
-def _random_square_matrices(rng, field, count):
-    """Square matrices of size 0..5, with large denominators, zero pivots
-    that force a row swap, zero rows, repeated rows and dependent rows."""
+def _random_matrices(rng, field, count, square=True):
+    """Matrices of 0..5 rows and, unless square, 0..5 columns, with large
+    denominators, zero pivots that force a row swap, zero rows, repeated
+    rows and dependent rows."""
     def scalar():
         x = Fraction(rng.choice([0, 0, 1, -1, 2, 7]), rng.choice([1, 1, 3, 10**12 + 39]))
         if field is FA and rng.random() < 0.3:
@@ -315,12 +312,13 @@ def _random_square_matrices(rng, field, count):
 
     for _ in range(count):
         n = rng.randint(0, 5)
-        rows = [[scalar() for _ in range(n)] for _ in range(n)]
+        cols = n if square else rng.randint(0, 5)
+        rows = [[scalar() for _ in range(cols)] for _ in range(n)]
         kind = rng.random()
-        if n >= 2 and kind < 0.2:
+        if n >= 2 and cols and kind < 0.2:
             rows[0][0] = field.zero
         elif n >= 2 and kind < 0.3:
-            rows[rng.randrange(n)] = [field.zero] * n
+            rows[rng.randrange(n)] = [field.zero] * cols
         elif n >= 2 and kind < 0.4:
             i, j = rng.sample(range(n), 2)
             rows[j] = list(rows[i])
@@ -331,23 +329,59 @@ def _random_square_matrices(rng, field, count):
         yield rows
 
 
+def _bareiss_cleared(field, rows):
+    """rows cleared to Z or Q[a] one row at a time, as evaluate clears its
+    arguments, and the kernel's (rank, det) on them, checking that the
+    kernel leaves its input alone and stays in the ring; also returns the
+    product of the row denominators."""
+    cleared, scale = [], 1 if field is QQ else _POLY_ONE
+    for row in rows:
+        entries, den = ce_complex._cleared(field, row)
+        cleared.append(entries)
+        scale = scale * den
+    before = [list(r) for r in cleared]
+    r, det = field_arith._bareiss(cleared, 1 if field is QQ else _POLY_ONE)
+    assert cleared == before
+    assert type(r) is int
+    assert type(det) is (int if field is QQ else Poly)
+    return r, det, scale
+
+
+def _in_field(field, x):
+    return field.coerce(x) if field is QQ else RationalFunction(field.var, x)
+
+
 @pytest.mark.parametrize("field", [QQ, FA])
-def test_det_rows_matches_the_permutation_sum(field):
-    # the second pivot is zero after the first step, in both fields
-    swap = [[1, 2, 3], [2, 4, 5], [1, 0, 1]]
-    rows = [[field.coerce(x) for x in r] for r in swap]
-    assert det_rows(rows, field) == _oracle.permutation_det(rows) == -2
+def test_bareiss_det_matches_the_permutation_sum(field):
+    # the second pivot is zero after the first step, in both rings
+    swap = [[field.coerce(x) for x in r] for r in [[1, 2, 3], [2, 4, 5], [1, 0, 1]]]
+    r, det, _ = _bareiss_cleared(field, swap)
+    assert r == 3 and _in_field(field, det) == _oracle.permutation_det(swap) == -2
     rng = random.Random(31 if field is QQ else 32)
     sizes, singular = set(), 0
-    for rows in _random_square_matrices(rng, field, 300 if field is QQ else 60):
-        before = [list(r) for r in rows]
-        det = det_rows(rows, field)
-        assert det == _oracle.permutation_det(rows)
-        assert field_arith.field_of(det) == field
-        assert rows == before
+    for rows in _random_matrices(rng, field, 300 if field is QQ else 60):
+        r, det, scale = _bareiss_cleared(field, rows)
+        # clearing scales row i by its denominator, and det by their product
+        assert _in_field(field, det) == _oracle.permutation_det(rows) * _in_field(field, scale)
+        assert (r == len(rows)) == bool(det)
         sizes.add(len(rows))
         singular += not det
     assert sizes == set(range(6)) and singular >= 10
+
+
+@pytest.mark.parametrize("field", [QQ, FA])
+def test_bareiss_rank_matches_gauss_rank(field):
+    rng = random.Random(34 if field is QQ else 35)
+    shapes, deficient = set(), 0
+    for rows in _random_matrices(rng, field, 300 if field is QQ else 120, square=False):
+        r, det, _ = _bareiss_cleared(field, rows)
+        assert r == _oracle.gauss_rank(rows)
+        cols = len(rows[0]) if rows else 0
+        if len(rows) != cols:
+            assert not det
+        shapes.add((len(rows), cols))
+        deficient += r < min(len(rows), cols)
+    assert len(shapes) >= 30 and deficient >= 8
 
 
 def test_bareiss_det_stays_in_the_integers():
@@ -356,10 +390,23 @@ def test_bareiss_det_stays_in_the_integers():
         n = rng.randint(0, 5)
         rows = [[rng.choice([0, 0, 1, -1, 3, 10**15 + 37]) for _ in range(n)] for _ in range(n)]
         before = [list(r) for r in rows]
-        det = field_arith._bareiss_det(rows)
+        r, det = field_arith._bareiss(rows)
         assert type(det) is int
         assert det == _oracle.permutation_det(rows)
+        assert r == _oracle.gauss_rank([[Fraction(x) for x in row] for row in rows])
         assert rows == before
+
+
+@pytest.mark.parametrize("one", [1, _POLY_ONE], ids=["Z", "Q[a]"])
+def test_bareiss_refuses_an_inexact_division(one, monkeypatch):
+    rows = [[one * x for x in r] for r in [[1, 2], [3, 4]]]
+    assert field_arith._bareiss(rows, one) == (2, one * -2)
+    # Poly's own division goes through divmod too, so keep the builtin there
+    real = builtins.divmod
+    monkeypatch.setattr(field_arith, "divmod", lambda a, b: (real(a, b)[0], one),
+                        raising=False)
+    with pytest.raises(InternalCheckFailed, match="Bareiss divisibility violated"):
+        field_arith._bareiss(rows, one)
 
 
 def test_solve_in_span_dependent_basis():

@@ -1,6 +1,9 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+docstring example in the package runs."""
 
 import ast
+import doctest
+import importlib
 from pathlib import Path
 
 import liecohom
@@ -37,3 +40,13 @@ def test_every_imported_name_is_used():
 def test_detects_an_unused_import():
     imported, used = imported_and_used("import os\nfrom math import comb, lcm\nlcm(2, 3)\n")
     assert [name for name in imported if name not in used] == ["os", "comb"]
+
+
+def test_docstring_examples_run():
+    failed = attempted = 0
+    for name in ["liecohom"] + ["liecohom." + p.stem for p in MODULES]:
+        result = doctest.testmod(importlib.import_module(name))
+        failed += result.failed
+        attempted += result.attempted
+    assert failed == 0
+    assert attempted >= 1

@@ -4,6 +4,7 @@ Each check guards an invariant the computation guarantees, so the tests
 break one step of the computation on purpose and expect the check to fire.
 """
 
+import builtins
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import sys
 from pathlib import Path
 
 import liecohom
-from liecohom import ce_complex, quotient_pipeline
+from liecohom import ce_complex, field_arith, quotient_pipeline
 from liecohom.cli import main
 
 SRC = str(Path(liecohom.__file__).resolve().parent.parent)
@@ -118,3 +119,18 @@ def test_cli_quotient_exits_6(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "chain isomorphism check failed" in captured.err
+
+
+def test_selftest_reports_a_broken_determinant_kernel(capsys, monkeypatch):
+    # an inexact integer division inside the fraction-free kernel fails the
+    # suites that use it, and the selftest exits as failed, not as a crash;
+    # polynomial division, which also calls divmod, is left intact
+    real = builtins.divmod
+    monkeypatch.setattr(field_arith, "divmod",
+                        lambda a, b: (a // b, 1) if type(a) is int else real(a, b),
+                        raising=False)
+    assert main(["selftest", "--seed", "0"]) == 5
+    out = capsys.readouterr().out.splitlines()
+    assert "suite rational_linear_algebra: FAIL (Bareiss divisibility violated)" in out
+    assert "suite shuffle_evaluation: FAIL (Bareiss divisibility violated)" in out
+    assert out[-1] == "selftest: FAIL"
