@@ -17,27 +17,7 @@ from .errors import ParseError
 from .lie_core import algebra_from_json
 from .quotient_pipeline import pipeline_input_from_json
 
-CATALOG_KEYS = (
-    "abelian_n",
-    "so3",
-    "sl2",
-    "heisenberg3",
-    "torus2_alpha",
-    "torus2_two_components",
-    "quasitorus_R_mod_Lambda",
-)
-
 _ABELIAN_RE = re.compile(r"abelian_(\d+)\Z")
-
-_DESCRIPTIONS = {
-    "abelian_n": "abelian algebra of dimension n (any key abelian_<dim> works)",
-    "so3": "rotations in three dimensions; models SO3(R) divided by a dense subgroup",
-    "sl2": "traceless 2x2 matrices with the standard h, e, f basis",
-    "heisenberg3": "three-dimensional Heisenberg algebra, [e1, e2] = e3",
-    "torus2_alpha": "two-torus divided by the dense winding line of irrational slope a",
-    "torus2_two_components": "same winding-line quotient, reached from a two-component subgroup",
-    "quasitorus_R_mod_Lambda": "the real line divided by a dense finitely generated subgroup",
-}
 
 
 class CatalogEntry:
@@ -128,82 +108,93 @@ _QUASITORUS_DOC = {
 }
 
 
+# key -> (description, document, expected Betti numbers, note), in listing
+# order; abelian_n is the one family, its document and numbers built per
+# dimension, and a pipeline document carries its own note (None here)
+_ENTRIES = {
+    "abelian_n": (
+        "abelian algebra of dimension n (any key abelian_<dim> works)",
+        None,
+        None,
+        "abelian algebra; the cohomology is the full exterior algebra",
+    ),
+    "so3": (
+        "rotations in three dimensions; models SO3(R) divided by a dense subgroup",
+        _SO3_DOC,
+        [1, 0, 0, 1],
+        "compact simple rank-one algebra; dividing SO3(R) by a dense "
+        "subgroup with h = 0 leaves these Betti numbers",
+    ),
+    "sl2": (
+        "traceless 2x2 matrices with the standard h, e, f basis",
+        _SL2_DOC,
+        [1, 0, 0, 1],
+        "split simple rank-one algebra; same Betti numbers as so3 even "
+        "though the algebras are not isomorphic over Q",
+    ),
+    "heisenberg3": (
+        "three-dimensional Heisenberg algebra, [e1, e2] = e3",
+        _HEISENBERG_DOC,
+        [1, 2, 2, 1],
+        "the smallest nilpotent non-abelian example",
+    ),
+    "torus2_alpha": (
+        "two-torus divided by the dense winding line of irrational slope a",
+        _torus_doc(
+            "torus2_alpha",
+            "two-torus divided by the image of the line of slope a (a "
+            "irrational); the quotient algebra is one-dimensional",
+        ),
+        [1, 1],
+        None,
+    ),
+    "torus2_two_components": (
+        "same winding-line quotient, reached from a two-component subgroup",
+        _torus_doc(
+            "torus2_two_components",
+            "same dense winding line inside a subgroup with two connected "
+            "components; only the identity component matters, so the result "
+            "matches torus2_alpha",
+        ),
+        [1, 1],
+        None,
+    ),
+    "quasitorus_R_mod_Lambda": (
+        "the real line divided by a dense finitely generated subgroup",
+        _QUASITORUS_DOC,
+        [1, 1],
+        None,
+    ),
+}
+
+CATALOG_KEYS = tuple(_ENTRIES)
+
+
 def catalog_keys():
     return list(CATALOG_KEYS)
 
 
 def describe(key):
-    return _DESCRIPTIONS.get(key, "")
+    return _ENTRIES[key][0] if key in _ENTRIES else ""
 
 
 def catalog_entry(key):
     """Resolve a catalog key to a CatalogEntry; unknown keys raise ParseError."""
-    m = _ABELIAN_RE.match(key)
-    if key == "abelian_n":
-        m = _ABELIAN_RE.match("abelian_3")
+    m = _ABELIAN_RE.match("abelian_3" if key == "abelian_n" else key)
     if m:
         n = int(m.group(1))
         if n > DEFAULT_MAX_DIM:
             raise ParseError("abelian dimension %d exceeds cap %d" % (n, DEFAULT_MAX_DIM))
         doc = _abelian_doc(n)
-        return CatalogEntry(
-            key="abelian_%d" % n,
-            algebra=algebra_from_json(doc),
-            ideal=None,
-            expected_betti=[comb(n, k) for k in range(n + 1)],
-            note="abelian algebra; the cohomology is the full exterior algebra",
-            document=doc,
-        )
-    if key == "so3":
-        return CatalogEntry(
-            key,
-            algebra_from_json(_SO3_DOC),
-            None,
-            [1, 0, 0, 1],
-            "compact simple rank-one algebra; dividing SO3(R) by a dense "
-            "subgroup with h = 0 leaves these Betti numbers",
-            _SO3_DOC,
-        )
-    if key == "sl2":
-        return CatalogEntry(
-            key,
-            algebra_from_json(_SL2_DOC),
-            None,
-            [1, 0, 0, 1],
-            "split simple rank-one algebra; same Betti numbers as so3 even "
-            "though the algebras are not isomorphic over Q",
-            _SL2_DOC,
-        )
-    if key == "heisenberg3":
-        return CatalogEntry(
-            key,
-            algebra_from_json(_HEISENBERG_DOC),
-            None,
-            [1, 2, 2, 1],
-            "the smallest nilpotent non-abelian example",
-            _HEISENBERG_DOC,
-        )
-    if key == "torus2_alpha":
-        doc = _torus_doc(
-            "torus2_alpha",
-            "two-torus divided by the image of the line of slope a (a "
-            "irrational); the quotient algebra is one-dimensional",
-        )
+        return CatalogEntry("abelian_%d" % n, algebra_from_json(doc), None,
+                            [comb(n, k) for k in range(n + 1)], _ENTRIES["abelian_n"][3], doc)
+    if key not in _ENTRIES:
+        raise ParseError("unknown catalog key %r" % (key,))
+    _, doc, betti, note = _ENTRIES[key]
+    if "algebra" in doc:
         inp = pipeline_input_from_json(doc)
-        return CatalogEntry(key, inp.algebra, inp.ideal, [1, 1], inp.note, doc)
-    if key == "torus2_two_components":
-        doc = _torus_doc(
-            "torus2_two_components",
-            "same dense winding line inside a subgroup with two connected "
-            "components; only the identity component matters, so the result "
-            "matches torus2_alpha",
-        )
-        inp = pipeline_input_from_json(doc)
-        return CatalogEntry(key, inp.algebra, inp.ideal, [1, 1], inp.note, doc)
-    if key == "quasitorus_R_mod_Lambda":
-        inp = pipeline_input_from_json(_QUASITORUS_DOC)
-        return CatalogEntry(key, inp.algebra, inp.ideal, [1, 1], inp.note, _QUASITORUS_DOC)
-    raise ParseError("unknown catalog key %r" % (key,))
+        return CatalogEntry(key, inp.algebra, inp.ideal, betti, inp.note, doc)
+    return CatalogEntry(key, algebra_from_json(doc), None, betti, note, doc)
 
 
 def selftest_entries():

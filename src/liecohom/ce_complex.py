@@ -27,7 +27,7 @@ extends it to every basis tuple, one sparse column at a time.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from .errors import (
@@ -462,6 +462,29 @@ def leibniz_check(L, one_forms):
     return None if residual.is_zero else residual
 
 
+def _wedge_powers(n, field, one_forms):
+    """Yield {J: beta_J} over the increasing 1-based J of degree 0, 1, ...,
+    len(one_forms), in lex order, each entry one wedge on the degree below:
+    beta_J = beta_(J minus its last index) ^ one_forms[last index - 1]."""
+    table = {(): ExteriorForm._trusted(n, 0, field, {(): field.one})}
+    yield table
+    for k in range(1, len(one_forms) + 1):
+        table = {J: wedge(table[J[:-1]], one_forms[J[-1] - 1])
+                 for J in index_tuples(len(one_forms), k)}
+        yield table
+
+
+def _horizontal_powers(L, h):
+    """_wedge_powers over the 1-forms alpha_f of horizontal_basis: one
+    elimination of h's basis, then the horizontal basis of every degree."""
+    n = L.dim
+    _, kernel = rank_and_kernel(Matrix(L.field, h.size, n, [x for w in h.basis for x in w]))
+    alphas = [ExteriorForm._trusted(n, 1, L.field,
+                                    {(a,): x for a, x in enumerate(v, start=1) if x})
+              for v in kernel]
+    return _wedge_powers(n, L.field, alphas)
+
+
 def horizontal_basis(L, h, k):
     """Basis of the degree-k forms killed by contraction with every vector of h.
 
@@ -471,8 +494,9 @@ def horizontal_basis(L, h, k):
     at f and 0 at every other free column, and nonzero elsewhere only at
     pivot columns left of f.  The basis in degree k is
     alpha_S = alpha_s1 ^ ... ^ alpha_sk for the k-subsets S of free
-    columns, in lex order.  This is the reduced echelon kernel basis of the
-    degree-k contraction system, with no degree-k elimination:
+    columns, in lex order: table k of _wedge_powers.  This is the reduced
+    echelon kernel basis of the degree-k contraction system, with no
+    degree-k elimination:
 
     - alpha_S is horizontal, since contraction is a derivation, and every
       term of alpha_S other than t[S] swaps some s_i for a pivot column,
@@ -488,21 +512,7 @@ def horizontal_basis(L, h, k):
         raise MixedFields("subspace and algebra over different fields")
     if k < 0 or k > n:
         raise DegreeOutOfRange("degree %d out of range for dimension %d" % (k, n))
-    if k == 0:
-        return [ExteriorForm(n, 0, L.field, {(): L.field.one})]
-    _, kernel = rank_and_kernel(Matrix(L.field, h.size, n, [x for w in h.basis for x in w]))
-    alphas = [ExteriorForm._trusted(n, 1, L.field,
-                                    {(a,): x for a, x in enumerate(v, start=1) if x})
-              for v in kernel]
-    spare = len(alphas) - k
-    if spare < 0:
-        return []
-    # layer j holds the wedges over the j-subsets that extend to a k-subset
-    layer = {(i,): alpha for i, alpha in enumerate(alphas[:spare + 1])}
-    for j in range(2, k + 1):
-        layer = {S: wedge(layer[S[:-1]], alphas[S[-1]])
-                 for S in combinations(range(spare + j), j)}
-    return list(layer.values())
+    return list(next(islice(_horizontal_powers(L, h), k, None), {}).values())
 
 
 class CohomologyReport:

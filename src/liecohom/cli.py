@@ -54,6 +54,8 @@ def _load_document(path):
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON in %s: %s" % (path, exc)) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON in %s is nested too deeply" % path) from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be a JSON object")
     try:

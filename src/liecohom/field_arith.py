@@ -514,6 +514,8 @@ _TOKEN_RE = re.compile(
 )
 
 _MAX_EXPONENT = 1000
+# each parenthesis level takes a few Python frames of the recursive descent
+_MAX_NESTING = 100
 
 
 class _Tokens:
@@ -537,6 +539,7 @@ class _Tokens:
             pos = m.end()
         self.pos = 0
         self.chain = 1
+        self.depth = 0
 
     def peek(self):
         return self.items[self.pos] if self.pos < len(self.items) else (None, None)
@@ -675,9 +678,13 @@ def _parse_atom(toks, field):
             )
         return field.generator()
     if kind == "op" and val == "(":
+        if toks.depth >= _MAX_NESTING:
+            raise ParseError("parentheses nested deeper than %d" % _MAX_NESTING)
+        toks.depth += 1
         inner = _parse_sum(toks, field)
         if not toks.accept(")"):
             raise ParseError("missing closing parenthesis")
+        toks.depth -= 1
         return inner
     raise ParseError("unexpected token in scalar text")
 

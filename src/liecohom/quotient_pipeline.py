@@ -8,6 +8,8 @@ the input's provenance note.
 The chain-level justification is checkable and checked: pulling forms back
 along the projection g -> g/h identifies the complex of g/h with the
 subcomplex of h-horizontal forms on g, compatibly with the differentials.
+One wedge-power builder makes both sides: wedges of the horizontal
+1-forms, and wedges of the pulled-back coordinate 1-forms.
 """
 
 from math import comb
@@ -15,12 +17,14 @@ from math import comb
 from .ce_complex import (
     DEFAULT_MAX_DIM,
     ExteriorForm,
+    _d_basis,
+    _horizontal_powers,
+    _one_form_differentials,
+    _wedge_powers,
     basis_form,
     cohomology,
     d_apply,
     form_to_vector,
-    horizontal_basis,
-    index_tuples,
     wedge,
 )
 from .errors import (
@@ -139,22 +143,6 @@ def pullback_form(projection, sigma):
     return _combination(n, sigma.degree, field, terms)
 
 
-def _pullback_tables(projection):
-    """Yield {J: pullback of t[J]} over the increasing J of degree 0, 1, ..., q.
-
-    Each degree comes from the one before with a single wedge per form:
-    pb t[J] = pb t[J minus its last index] ^ pi* t[last index].
-    """
-    n, field = projection.cols, projection.field
-    pulled = _pulled_one_forms(projection)
-    table = {(): ExteriorForm._trusted(n, 0, field, {(): field.one})}
-    yield table
-    for k in range(1, projection.rows + 1):
-        table = {J: wedge(table[J[:-1]], pulled[J[-1] - 1])
-                 for J in index_tuples(projection.rows, k)}
-        yield table
-
-
 def chain_iso_check(L, h):
     """Verify degree by degree that pullback identifies the quotient complex
     with the horizontal subcomplex.
@@ -165,11 +153,12 @@ def chain_iso_check(L, h):
     d.  Returns None on success, else (degree, form, reason) for the first
     failure.
 
-    The pullback of every basis form is built once, and one echelon of
-    the pulled-back basis answers both span questions: the basis is
-    independent when every form inserts into it, and then, with the
-    horizontal space of that same dimension, the two spaces agree exactly
-    when every horizontal form reduces to zero against it.
+    One builder, _wedge_powers, makes both sides, and h's basis is
+    eliminated once per check.  One echelon of the pulled-back basis
+    answers both span questions: the basis is independent when every form
+    inserts into it, and then, with the horizontal space of that same
+    dimension, the two spaces agree exactly when every horizontal form
+    reduces to zero against it.
     """
     return _chain_iso_check(L, h, quotient_algebra(L, h))
 
@@ -178,34 +167,31 @@ def _chain_iso_check(L, h, qd):
     """chain_iso_check on the QuotientData qd of L by h, already built."""
     n, q = L.dim, qd.quotient.dim
     field = L.field
-    tables = _pullback_tables(qd.projection)
-    table = next(tables)
+    horizontal = _horizontal_powers(L, h)
+    pullbacks = _wedge_powers(n, field, _pulled_one_forms(qd.projection))
+    dt = _one_form_differentials(qd.quotient)
+    table = next(pullbacks)
     for k in range(n + 1):
-        horizontal = horizontal_basis(L, h, k)
+        hor = next(horizontal, {})
         expected = comb(q, k)
-        if len(horizontal) != expected:
-            return (k, None, "horizontal dimension %d, expected %d"
-                    % (len(horizontal), expected))
+        if len(hor) != expected:
+            return (k, None, "horizontal dimension %d, expected %d" % (len(hor), expected))
         if k > q:
             continue
-        upper = next(tables, {})
-        tuples = index_tuples(q, k)
+        upper = next(pullbacks, {})
         echelon = []
-        for I in tuples:
-            if _echelon_insert(echelon, form_to_vector(table[I])) is None:
+        for pb in table.values():
+            if _echelon_insert(echelon, form_to_vector(pb)) is None:
                 return (k, None, "pulled-back basis is linearly dependent")
-        for f in horizontal:
+        for f in hor.values():
             if any(_reduce_against(echelon, form_to_vector(f))):
-                return (k, basis_form(field, q, tuples[0]),
+                return (k, basis_form(field, q, next(iter(table))),
                         "pullback leaves the horizontal subspace")
-        for I in tuples:
-            sigma = basis_form(field, q, I)
-            lhs = d_apply(L, table[I])
-            d_sigma = d_apply(qd.quotient, sigma)
+        for I, pb in table.items():
             rhs = _combination(n, k + 1, field,
-                               [(c, upper[J]) for J, c in d_sigma.coeffs.items()])
-            if lhs != rhs:
-                return (k, sigma, "d does not commute with pullback")
+                               [(c, upper[J]) for J, c in _d_basis(dt, I).items()])
+            if d_apply(L, pb) != rhs:
+                return (k, basis_form(field, q, I), "d does not commute with pullback")
         table = upper
     return None
 

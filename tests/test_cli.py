@@ -154,6 +154,21 @@ def test_validate_rejects_nested_powers_past_the_cap(tmp_path):
         assert "too large" in proc.stderr
 
 
+def test_validate_rejects_deeply_nested_coefficient(tmp_path, capsys):
+    # a parse error, not a RecursionError out of main
+    deep = so3_doc()
+    deep["brackets"][0]["terms"][0]["coeff"] = "(" * 5000 + "1" + ")" * 5000
+    assert main(["validate", write_doc(tmp_path, deep)]) == 3
+    assert "nested deeper than 100" in capsys.readouterr().err
+
+
+def test_validate_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"name": ' + "[" * 100000 + "]" * 100000 + "}", encoding="utf-8")
+    assert main(["validate", str(path)]) == 3
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # cohomology
 

@@ -132,6 +132,17 @@ def test_parse_caps_the_degree_of_products_sums_and_quotients():
     assert parse_scalar("2^1000*2^1000*3^1000", QQ) == 2**2000 * 3**1000
 
 
+def test_parse_caps_the_nesting_of_parentheses():
+    # each level recurses through the parser: a deep nest is refused, not
+    # left to exhaust the interpreter's stack
+    with pytest.raises(ParseError, match="nested deeper than 100"):
+        parse_scalar("(" * 5000 + "1" + ")" * 5000, QQ)
+    with pytest.raises(ParseError, match="nested deeper than 100"):
+        parse_scalar("(" * 101 + "a" + ")" * 101, FA)
+    assert parse_scalar("(" * 100 + "1" + ")" * 100, QQ) == 1
+    assert parse_scalar("((1)+(2))*" * 60 + "1", QQ) == 3**60
+
+
 def test_parse_division_by_zero():
     with pytest.raises(DivisionByZero):
         parse_scalar("1/0", QQ)

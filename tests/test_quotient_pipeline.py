@@ -144,14 +144,15 @@ def test_pullback_non_coordinate_projection_against_oracle():
                     assert pb.coeffs.get(I, field.zero) == expected
 
 
-def test_pullback_tables_match_pullback_form():
-    # the table wedges one more pulled-back 1-form onto the table of the
-    # degree below; pullback_form builds every basis form from scratch
+def test_wedge_powers_match_pullback_form():
+    # the chain-iso check wedges one more pulled-back 1-form onto the table
+    # of the degree below; pullback_form builds every basis form from scratch
     projections = non_coordinate_projections(random.Random(17))
     projections.append(quotient_algebra(filiform(7), l7_top_ideal()).projection)
     for pi in projections:
         q, field = pi.rows, pi.field
-        tables = list(quotient_pipeline._pullback_tables(pi))
+        tables = list(ce_complex._wedge_powers(
+            pi.cols, field, quotient_pipeline._pulled_one_forms(pi)))
         assert len(tables) == q + 1
         for k, table in enumerate(tables):
             assert list(table) == index_tuples(q, k)
@@ -202,13 +203,16 @@ def l7_top_ideal():
 
 
 def doctored_horizontal(monkeypatch, degree, change):
-    real = quotient_pipeline.horizontal_basis
+    # the check reads the horizontal basis of degree k from the k-th table
+    real = quotient_pipeline._horizontal_powers
 
-    def patched(L, h, k):
-        basis = real(L, h, k)
-        return change(L, basis) if k == degree else basis
+    def patched(L, h):
+        for k, table in enumerate(real(L, h)):
+            if k == degree:
+                table = dict(enumerate(change(L, list(table.values()))))
+            yield table
 
-    monkeypatch.setattr(quotient_pipeline, "horizontal_basis", patched)
+    monkeypatch.setattr(quotient_pipeline, "_horizontal_powers", patched)
 
 
 def doctored_projection(monkeypatch, change):
@@ -243,6 +247,25 @@ def test_chain_iso_reports_pullback_outside_horizontal_space_over_q_a(monkeypatc
         basis_form(FA, 2, (2,))])
     assert chain_iso_check(L, h) == (
         1, basis_form(FA, 1, (1,)), "pullback leaves the horizontal subspace")
+
+
+def test_chain_iso_check_eliminates_h_and_tabulates_quotient_d_once(monkeypatch):
+    # h's basis is eliminated once per check, not once per degree, and the
+    # quotient's 1-form differentials are tabulated once; the 32 other
+    # tables are those of d_apply on the 2^5 pulled-back basis forms
+    calls = {"rank_and_kernel": 0, "_one_form_differentials": 0}
+    for name in calls:
+        real = getattr(ce_complex, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in (ce_complex, quotient_pipeline):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    assert chain_iso_check(filiform(7), l7_top_ideal()) is None
+    assert calls == {"rank_and_kernel": 1, "_one_form_differentials": 33}
 
 
 def test_chain_iso_reports_dependent_pullbacks(monkeypatch):
