@@ -9,6 +9,7 @@ abelian_n is a family: any key abelian_<dim> resolves, and the bare name
 abelian_n shows the dim = 3 representative.
 """
 
+import copy
 import re
 from math import comb
 
@@ -190,7 +191,10 @@ def catalog_entry(key):
                             [comb(n, k) for k in range(n + 1)], _ENTRIES["abelian_n"][3], doc)
     if key not in _ENTRIES:
         raise ParseError("unknown catalog key %r" % (key,))
-    _, doc, betti, note = _ENTRIES[key]
+    _, shipped, betti, note = _ENTRIES[key]
+    # each entry parses and keeps its own copy, so a caller's edit reaches
+    # neither the shipped document nor any later entry
+    doc = copy.deepcopy(shipped)
     if "algebra" in doc:
         inp = pipeline_input_from_json(doc)
         return CatalogEntry(key, inp.algebra, inp.ideal, betti, inp.note, doc)

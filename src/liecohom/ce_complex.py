@@ -24,11 +24,19 @@ per call, not once per term, with the same helpers evaluate uses.
 d is built from the structure constants instead: on 1-forms the sum reads
 d t[m] = -sum over i < j of c^m_ij t[i,j], and the graded Leibniz rule
 extends it to every basis tuple, one sparse column at a time.
+
+Forms become rows of field_arith's elimination engine only in this
+module.  cohomology wraps each representative row as a form directly,
+since engine rows already hold field scalars in lex order; a span
+question about forms lays them out as rows over the sorted union of the
+index tuples they use (_form_rows), not over all C(n, k) tuples.
+form_from_vector, which checks its data, is for outside callers.
 """
 
 from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
+from numbers import Integral
 
 from .errors import (
     ArityMismatch,
@@ -55,8 +63,20 @@ from .lie_core import jacobi_check
 DEFAULT_MAX_DIM = 20
 
 
+def _integral(value):
+    """True for an integer that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_degree(k):
+    """Raise DegreeOutOfRange unless k is a nonnegative integer."""
+    if not _integral(k) or k < 0:
+        raise DegreeOutOfRange("form degree must be a nonnegative integer, got %r" % (k,))
+
+
 def index_tuples(n, k):
     """All strictly increasing k-tuples from 1..n, in lexicographic order."""
+    _check_degree(k)
     return list(combinations(range(1, n + 1), k))
 
 
@@ -70,8 +90,7 @@ class ExteriorForm:
     __slots__ = ("ambient", "degree", "field", "coeffs")
 
     def __init__(self, ambient, degree, field, coeffs=()):
-        if degree < 0:
-            raise DegreeOutOfRange("form degree must be nonnegative")
+        _check_degree(degree)
         clean = {}
         for idx, value in dict(coeffs).items():
             idx = tuple(idx)
@@ -195,6 +214,8 @@ def basis_form(field, n, idx):
 
 
 def form_from_vector(field, n, degree, vec):
+    """The form with coefficient vec[i] on the i-th tuple of index_tuples,
+    checked as the constructor checks any caller's data."""
     tuples = index_tuples(n, degree)
     if len(vec) != len(tuples):
         raise DimensionMismatch(
@@ -203,11 +224,19 @@ def form_from_vector(field, n, degree, vec):
     return ExteriorForm(n, degree, field, dict(zip(tuples, vec)))
 
 
-def form_to_vector(form):
-    return [
-        form.coeffs.get(idx, form.field.zero)
-        for idx in index_tuples(form.ambient, form.degree)
-    ]
+def _form_rows(forms):
+    """Forms of one degree and field as elimination rows over the sorted
+    union of the index tuples they use.
+
+    This is the one place where forms become rows.  Every form vanishes
+    off those tuples, and a column that is zero in every row changes
+    neither which rows are independent nor which lie in the span of
+    others, so these rows answer every span question among the forms as
+    full C(n, k)-long coefficient vectors would.
+    """
+    columns = sorted({idx for f in forms for idx in f.coeffs})
+    zero = forms[0].field.zero if forms else None
+    return [[f.coeffs.get(idx, zero) for idx in columns] for f in forms]
 
 
 def _cleared(field, values):
@@ -375,11 +404,26 @@ def _d_basis(dt, I):
     return out
 
 
+def _d_form(dt, form):
+    """d form, given the 1-form differential table dt of its algebra
+    (_one_form_differentials): the sum of coeff_I * d t[I] over its tuples."""
+    coeffs = {}
+    for I, coeff in form.coeffs.items():
+        for J, value in _d_basis(dt, I).items():
+            term = coeff * value
+            prev = coeffs.get(J)
+            coeffs[J] = term if prev is None else prev + term
+    return ExteriorForm._from_sums(form.ambient, form.degree + 1, form.field, coeffs)
+
+
 def d_apply(L, form):
     """Coboundary of a form: the sum of coeff_I * d t[I] over its basis tuples.
 
     Agrees with the displayed alternating sum of the module docstring,
-    which evaluate computes by definition.
+    which evaluate computes by definition.  The sum runs over the tuples
+    the form uses, never over a C(n, k)-long vector.  It is _d_form, which
+    a caller applying d to many forms of one algebra, like the chain-iso
+    check, calls with one 1-form table.
     """
     n = L.dim
     if form.ambient != n:
@@ -389,14 +433,7 @@ def d_apply(L, form):
     k = form.degree
     if k > n:
         raise DegreeOutOfRange("degree %d exceeds dimension %d" % (k, n))
-    dt = _one_form_differentials(L)
-    coeffs = {}
-    for I, coeff in form.coeffs.items():
-        for J, value in _d_basis(dt, I).items():
-            term = coeff * value
-            prev = coeffs.get(J)
-            coeffs[J] = term if prev is None else prev + term
-    return ExteriorForm._from_sums(n, k + 1, L.field, coeffs)
+    return _d_form(_one_form_differentials(L), form)
 
 
 class CoboundaryMatrix:
@@ -510,7 +547,8 @@ def horizontal_basis(L, h, k):
         raise DimensionMismatch("subspace ambient %d, algebra dim %d" % (h.ambient_dim, n))
     if h.field != L.field:
         raise MixedFields("subspace and algebra over different fields")
-    if k < 0 or k > n:
+    _check_degree(k)
+    if k > n:
         raise DegreeOutOfRange("degree %d out of range for dimension %d" % (k, n))
     return list(next(islice(_horizontal_powers(L, h), k, None), {}).values())
 
@@ -596,11 +634,14 @@ def cohomology(L, max_dim=DEFAULT_MAX_DIM):
                 if len(echelon) == prev_rank:
                     break
                 _echelon_insert(echelon, image.col(j))
+        # engine rows hold field scalars in the lex order of index_tuples
+        tuples = index_tuples(n, k)
         reps = []
         for vec in kernels[k]:
             row = _echelon_insert(echelon, vec)
             if row is not None:
-                reps.append(form_from_vector(field, n, k, row))
+                reps.append(ExteriorForm._trusted(
+                    n, k, field, {idx: x for idx, x in zip(tuples, row) if x}))
         if len(reps) != betti_k:
             raise InternalCheckFailed(
                 "degree %d: %d representatives for Betti number %d"

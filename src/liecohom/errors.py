@@ -30,7 +30,8 @@ class ArityMismatch(Error, ValueError):
 
 
 class DegreeOutOfRange(Error, ValueError):
-    """Requested form degree is negative or exceeds the ambient dimension."""
+    """Requested form degree is not an integer, is negative, or exceeds the
+    ambient dimension."""
 
 
 class DimensionCapExceeded(Error, ValueError):
@@ -38,8 +39,9 @@ class DimensionCapExceeded(Error, ValueError):
 
 
 class InvalidParameter(Error, ValueError):
-    """A numeric parameter is out of range: a sample count below 1, or a
-    step or tolerance that is not positive and finite."""
+    """A numeric parameter is out of range: a sample count that is not an
+    integer of at least 1, or a step or tolerance that is not positive and
+    finite."""
 
 
 class SingularMatrix(Error, ValueError):

@@ -25,7 +25,7 @@ the package imports this module on every command, and the exact commands
 
 import math
 
-from .ce_complex import ce_differential, index_tuples
+from .ce_complex import _integral, ce_differential, index_tuples
 from .errors import DimensionMismatch, InvalidParameter, SingularMatrix
 
 DET_THRESHOLD = 1e-8
@@ -159,13 +159,16 @@ def maurer_cartan_check(n, samples=100, tol=DEFAULT_TOL, step=DEFAULT_STEP, seed
     singular), v, w; then all samples are checked at once, bit for bit as
     a loop over numeric_dtheta and commutator_dtheta would.  Raises
     SingularMatrix if a displaced point g +- step v, g +- step w is too
-    close to singular, DimensionMismatch if n < 1, and InvalidParameter if
-    samples < 1 or step or tol is not positive and finite.
+    close to singular, DimensionMismatch if n is not an integer of at
+    least 1, and InvalidParameter if samples is not an integer of at least
+    1 or step or tol is not positive and finite.  A bool is not an integer
+    here.
     """
-    if n < 1:
-        raise DimensionMismatch("matrix size must be at least 1, got %r" % (n,))
-    if samples < 1:
-        raise InvalidParameter("sample count must be at least 1, got %r" % (samples,))
+    if not _integral(n) or n < 1:
+        raise DimensionMismatch("matrix size must be an integer of at least 1, got %r" % (n,))
+    if not _integral(samples) or samples < 1:
+        raise InvalidParameter("sample count must be an integer of at least 1, got %r"
+                               % (samples,))
     for name, value in (("tolerance", tol), ("step", step)):
         if not (0 < value < math.inf):
             raise InvalidParameter("%s must be positive and finite, got %r" % (name, value))

@@ -9,7 +9,10 @@ The chain-level justification is checkable and checked: pulling forms back
 along the projection g -> g/h identifies the complex of g/h with the
 subcomplex of h-horizontal forms on g, compatibly with the differentials.
 One wedge-power builder makes both sides: wedges of the horizontal
-1-forms, and wedges of the pulled-back coordinate 1-forms.
+1-forms, and wedges of the pulled-back coordinate 1-forms.  The span
+tests hand both sides to ce_complex, which lays them out as elimination
+rows over the index tuples they use; no form becomes a C(n, k)-long
+vector here.
 """
 
 from math import comb
@@ -18,13 +21,13 @@ from .ce_complex import (
     DEFAULT_MAX_DIM,
     ExteriorForm,
     _d_basis,
+    _d_form,
+    _form_rows,
     _horizontal_powers,
     _one_form_differentials,
     _wedge_powers,
     basis_form,
     cohomology,
-    d_apply,
-    form_to_vector,
     wedge,
 )
 from .errors import (
@@ -153,12 +156,14 @@ def chain_iso_check(L, h):
     d.  Returns None on success, else (degree, form, reason) for the first
     failure.
 
-    One builder, _wedge_powers, makes both sides, and h's basis is
-    eliminated once per check.  One echelon of the pulled-back basis
-    answers both span questions: the basis is independent when every form
-    inserts into it, and then, with the horizontal space of that same
-    dimension, the two spaces agree exactly when every horizontal form
-    reduces to zero against it.
+    One builder, _wedge_powers, makes both sides, h's basis is eliminated
+    once per check, and the 1-form differential tables of g and g/h are
+    each built once.  One echelon of the pulled-back basis answers both
+    span questions: the basis is independent when every form inserts into
+    it, and then, with the horizontal space of that same dimension, the
+    two spaces agree exactly when every horizontal form reduces to zero
+    against it.  Both sides of a degree become rows together, through
+    ce_complex._form_rows, over the index tuples they use.
     """
     return _chain_iso_check(L, h, quotient_algebra(L, h))
 
@@ -169,6 +174,7 @@ def _chain_iso_check(L, h, qd):
     field = L.field
     horizontal = _horizontal_powers(L, h)
     pullbacks = _wedge_powers(n, field, _pulled_one_forms(qd.projection))
+    dt_L = _one_form_differentials(L)
     dt = _one_form_differentials(qd.quotient)
     table = next(pullbacks)
     for k in range(n + 1):
@@ -179,18 +185,19 @@ def _chain_iso_check(L, h, qd):
         if k > q:
             continue
         upper = next(pullbacks, {})
+        rows = _form_rows(list(table.values()) + list(hor.values()))
         echelon = []
-        for pb in table.values():
-            if _echelon_insert(echelon, form_to_vector(pb)) is None:
+        for row in rows[:len(table)]:
+            if _echelon_insert(echelon, row) is None:
                 return (k, None, "pulled-back basis is linearly dependent")
-        for f in hor.values():
-            if any(_reduce_against(echelon, form_to_vector(f))):
+        for row in rows[len(table):]:
+            if any(_reduce_against(echelon, row)):
                 return (k, basis_form(field, q, next(iter(table))),
                         "pullback leaves the horizontal subspace")
         for I, pb in table.items():
             rhs = _combination(n, k + 1, field,
                                [(c, upper[J]) for J, c in _d_basis(dt, I).items()])
-            if d_apply(L, pb) != rhs:
+            if _d_form(dt_L, pb) != rhs:
                 return (k, basis_form(field, q, I), "d does not commute with pullback")
         table = upper
     return None

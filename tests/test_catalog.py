@@ -1,3 +1,4 @@
+import copy
 import io
 from math import comb
 
@@ -75,6 +76,25 @@ def test_documents_are_plain_json_and_self_describing():
         name = (entry.document.get("name")
                 or entry.document["algebra"]["name"])
         assert name == entry.algebra.name
+
+
+def test_each_entry_owns_its_document():
+    # editing one entry's document changes neither a later entry's document
+    # nor what the later entry parses
+    for key in CATALOG_KEYS:
+        pristine = copy.deepcopy(catalog_entry(key).document)
+        edited = catalog_entry(key).document
+        target = edited.get("algebra", edited)
+        target["name"] = "changed"
+        target["brackets"].append({"i": 1, "j": 2, "terms": []})
+        again = catalog_entry(key)
+        assert again.document == pristine
+        assert again.algebra.name == pristine.get("algebra", pristine)["name"]
+    torus = catalog_entry("torus2_alpha")
+    torus.document["ideal"]["torus_directions"][0][1] = "2"
+    again = catalog_entry("torus2_alpha")
+    assert again.document["ideal"] == {"torus_directions": [["1", "a"]]}
+    assert again.ideal.basis == torus.ideal.basis
 
 
 def test_selftest_suite_roster():

@@ -10,13 +10,13 @@ from _families import filiform, heisenberg as heisenberg_family, rebased, solv, 
 from liecohom import ce_complex, field_arith
 from liecohom.ce_complex import (
     ExteriorForm,
+    _form_rows,
     basis_form,
     ce_differential,
     cohomology,
     d_apply,
     evaluate,
     form_from_vector,
-    form_to_vector,
     horizontal_basis,
     index_tuples,
     leibniz_check,
@@ -32,7 +32,16 @@ from liecohom.errors import (
     JacobiViolation,
     MixedFields,
 )
-from liecohom.field_arith import Field, Matrix, QQ, RationalFunction, rank, rank_and_kernel
+from liecohom.field_arith import (
+    Field,
+    Matrix,
+    QQ,
+    RationalFunction,
+    _echelon_insert,
+    _reduce_against,
+    rank,
+    rank_and_kernel,
+)
 from liecohom.lie_core import (
     LieAlgebra,
     Subspace,
@@ -64,6 +73,11 @@ def t(n, *idx):
 def random_form(rng, n, degree, field=QQ):
     vec = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in index_tuples(n, degree)]
     return form_from_vector(field, n, degree, vec)
+
+
+def full_vector(f):
+    """f's coefficients on every tuple of index_tuples, in that order."""
+    return [f.coeffs.get(idx, f.field.zero) for idx in index_tuples(f.ambient, f.degree)]
 
 
 def random_vector(rng, n):
@@ -532,7 +546,7 @@ def test_horizontal_basis_matches_oracle_contractions():
         for k in range(n + 1):
             basis = horizontal_basis(L, h, k)
             assert len(basis) == comb(n - h.size, k)
-            assert _oracle.gauss_rank([form_to_vector(f) for f in basis]) == len(basis)
+            assert _oracle.gauss_rank([full_vector(f) for f in basis]) == len(basis)
             if k == 0:
                 continue
             for f in basis:
@@ -713,7 +727,7 @@ def test_representatives_independent_modulo_image():
     rep = cohomology(L)
     d0 = ce_differential(L, 0).matrix
     image = [d0.col(j) for j in range(d0.cols)]
-    reps = [form_to_vector(f) for f in rep.representatives[1]]
+    reps = [full_vector(f) for f in rep.representatives[1]]
     stacked = image + reps
     m = Matrix.from_rows(QQ, stacked, cols=3)
     assert rank(m) == rank(Matrix.from_rows(QQ, image, cols=3)) + len(reps)
@@ -734,6 +748,75 @@ def test_cohomology_takes_one_reduced_echelon_form_per_degree(monkeypatch):
             monkeypatch.setattr(module, "_rref", counted)
     cohomology(filiform(7))
     assert len(calls) == 8
+
+
+def test_cohomology_builds_no_form_through_the_constructor(monkeypatch):
+    # representatives wrap the engine's rows as they are; the reports and
+    # the forms match those of an unpatched run
+    algebras = [filiform(7), heisenberg_family(3), strictly_upper(4), solv(5)]
+    want = [cohomology(L) for L in algebras]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("ExteriorForm.__init__ called")
+
+    monkeypatch.setattr(ExteriorForm, "__init__", refuse)
+    got = [cohomology(L) for L in algebras]
+    monkeypatch.undo()
+    for g, w in zip(got, want):
+        assert g.to_json() == w.to_json()
+        assert g.representatives == w.representatives
+        for forms in g.representatives:
+            for f in forms:
+                assert_canonical(f)
+
+
+def sparse_form(rng, field, n, degree):
+    """A form on about half of the tuples, over Q or Q(a)."""
+    if field == FA:
+        return random_qa_form(rng, n, degree)
+    return ExteriorForm(n, degree, QQ, {
+        idx: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        for idx in index_tuples(n, degree) if rng.random() < 0.5})
+
+
+@pytest.mark.parametrize("field", [QQ, FA], ids=["Q", "Q(a)"])
+def test_form_rows_give_the_span_verdicts_of_full_vectors(field):
+    # the engine on rows over the tuples the forms use against the oracle
+    # on full C(n, k)-long vectors: each insertion (independence) and each
+    # reduction (membership) verdict
+    rng = random.Random(71)
+    verdicts = set()
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        k = rng.randint(0, n)
+        tuples = index_tuples(n, k)
+        cut = rng.randint(0, len(tuples))
+
+        def restricted(f, keep):
+            return ExteriorForm(n, k, field, {I: c for I, c in f.coeffs.items() if I in keep})
+
+        forms = [sparse_form(rng, field, n, k) for _ in range(rng.randint(0, 4))]
+        forms.append(restricted(sparse_form(rng, field, n, k), tuples[:cut]))
+        forms += [zero_form(field, n, k), forms[0]]
+        rng.shuffle(forms)
+        targets = [forms[-1] * 3 + forms[0], zero_form(field, n, k), forms[1],
+                   restricted(sparse_form(rng, field, n, k), tuples[cut:]),
+                   sparse_form(rng, field, n, k)]
+        rows = _form_rows(forms + targets)
+        full = [full_vector(f) for f in forms + targets]
+        assert all(len(row) <= len(tuples) for row in rows)
+        echelon = []
+        for i, row in enumerate(rows[:len(forms)]):
+            independent = _echelon_insert(echelon, row) is not None
+            assert independent == (_oracle.gauss_rank(full[:i + 1]) > _oracle.gauss_rank(full[:i]))
+            verdicts.add(("independent", independent))
+        span_rank = _oracle.gauss_rank(full[:len(forms)])
+        for row, vec in zip(rows[len(forms):], full[len(forms):]):
+            outside = any(_reduce_against(echelon, row))
+            assert outside == (_oracle.gauss_rank(full[:len(forms)] + [vec]) > span_rank)
+            verdicts.add(("outside", outside))
+    assert len(verdicts) == 4
+    assert _form_rows([]) == []
 
 
 def test_cohomology_rejects_jacobi_violations():
@@ -770,7 +853,7 @@ def test_form_vector_round_trip():
         n = rng.randint(1, 5)
         k = rng.randint(0, n)
         f = random_form(rng, n, k)
-        assert form_from_vector(QQ, n, k, form_to_vector(f)) == f
+        assert form_from_vector(QQ, n, k, full_vector(f)) == f
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from liecohom.catalog import CATALOG_KEYS, catalog_entry
-from liecohom.ce_complex import ce_differential
-from liecohom.errors import DimensionMismatch, InvalidParameter, SingularMatrix
+from liecohom.ce_complex import ExteriorForm, ce_differential, horizontal_basis, index_tuples
+from liecohom.errors import DegreeOutOfRange, DimensionMismatch, InvalidParameter, SingularMatrix
 from liecohom.field_arith import QQ
-from liecohom.lie_core import LieAlgebra
+from liecohom.lie_core import LieAlgebra, Subspace
 from liecohom.mc_numeric import (
     DEFAULT_STEP,
     DEFAULT_TOL,
@@ -193,6 +193,33 @@ def test_check_rejects_a_bad_step_or_tolerance(name, value, monkeypatch):
     with pytest.raises(InvalidParameter) as info:
         maurer_cartan_check(2, samples=5, **{name: value})
     assert isinstance(info.value, ValueError)
+
+
+SO3 = LieAlgebra("so3", 3, QQ, {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}})
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: maurer_cartan_check(2.5), DimensionMismatch),
+    (lambda: maurer_cartan_check(True), DimensionMismatch),
+    (lambda: maurer_cartan_check("2"), DimensionMismatch),
+    (lambda: maurer_cartan_check(2, samples=True), InvalidParameter),
+    (lambda: maurer_cartan_check(2, samples=2.5), InvalidParameter),
+    (lambda: ce_differential(SO3, 1.5), DegreeOutOfRange),
+    (lambda: horizontal_basis(SO3, Subspace.zero(3, QQ), 1.5), DegreeOutOfRange),
+    (lambda: ExteriorForm(3, 1.5, QQ), DegreeOutOfRange),
+    (lambda: ExteriorForm(3, True, QQ), DegreeOutOfRange),
+    (lambda: index_tuples(3, 1.5), DegreeOutOfRange),
+], ids=["mc_n_float", "mc_n_bool", "mc_n_str", "mc_samples_bool", "mc_samples_float",
+        "ce_differential", "horizontal_basis", "form_float", "form_bool", "index_tuples"])
+def test_non_integer_arguments_raise_typed_errors(call, error, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", None)  # no draw may happen
+    with pytest.raises(error):
+        call()
+
+
+def test_integer_types_other_than_int_are_accepted():
+    assert maurer_cartan_check(np.int64(1), samples=np.int64(2)).samples == 2
+    assert ExteriorForm(3, np.int64(1), QQ, {(2,): 1}).degree == 1
 
 
 def test_result_fields():
