@@ -25,12 +25,15 @@ d is built from the structure constants instead: on 1-forms the sum reads
 d t[m] = -sum over i < j of c^m_ij t[i,j], and the graded Leibniz rule
 extends it to every basis tuple, one sparse column at a time.
 
-Forms become rows of field_arith's elimination engine only in this
-module.  cohomology wraps each representative row as a form directly,
-since engine rows already hold field scalars in lex order; a span
-question about forms lays them out as rows over the sorted union of the
-index tuples they use (_form_rows), not over all C(n, k) tuples.
-form_from_vector, which checks its data, is for outside callers.
+field_arith's elimination engine works on sparse rows keyed by index
+tuple, and same-length tuples sort in the lex order of index_tuples, so
+the coeffs dict of a form already is an engine row and an engine row
+with its keys sorted is the coeffs of a form.  cohomology builds each d_k
+once as sparse columns (_d_columns), eliminates their transpose, and
+wraps each representative row as a form without re-checking it; it
+forms no Matrix.  ce_differential lays the same columns out as a dense
+Matrix for outside callers, and form_from_vector, which checks its data,
+is for them too.
 """
 
 from fractions import Fraction
@@ -54,6 +57,7 @@ from .field_arith import (
     _bareiss,
     _echelon_insert,
     _integer_row,
+    _rank_and_kernel,
     format_scalar,
     poly_gcd,
     rank_and_kernel,
@@ -222,21 +226,6 @@ def form_from_vector(field, n, degree, vec):
             "coefficient vector of length %d, expected %d" % (len(vec), len(tuples))
         )
     return ExteriorForm(n, degree, field, dict(zip(tuples, vec)))
-
-
-def _form_rows(forms):
-    """Forms of one degree and field as elimination rows over the sorted
-    union of the index tuples they use.
-
-    This is the one place where forms become rows.  Every form vanishes
-    off those tuples, and a column that is zero in every row changes
-    neither which rows are independent nor which lie in the span of
-    others, so these rows answer every span question among the forms as
-    full C(n, k)-long coefficient vectors would.
-    """
-    columns = sorted({idx for f in forms for idx in f.coeffs})
-    zero = forms[0].field.zero if forms else None
-    return [[f.coeffs.get(idx, zero) for idx in columns] for f in forms]
 
 
 def _cleared(field, values):
@@ -453,18 +442,27 @@ class CoboundaryMatrix:
         )
 
 
+def _d_columns(dt, n, k):
+    """d in degree k as sparse columns, {I: d t[I]} over the degree-k tuples
+    I in lex order, each column an engine row keyed by (k+1)-tuple, given
+    the 1-form differential table dt (_one_form_differentials)."""
+    return {I: {J: c for J, c in _d_basis(dt, I).items() if c}
+            for I in index_tuples(n, k)}
+
+
 def ce_differential(L, k):
-    """CoboundaryMatrix in degree k, shape C(n, k+1) x C(n, k)."""
+    """CoboundaryMatrix in degree k, shape C(n, k+1) x C(n, k): the sparse
+    columns of _d_columns laid out densely."""
+    _check_degree(k)
     n = L.dim
-    if k < 0 or k > n:
+    if k > n:
         raise DegreeOutOfRange("degree %d out of range for dimension %d" % (k, n))
     row_index = {J: r for r, J in enumerate(index_tuples(n, k + 1))}
-    cols = index_tuples(n, k)
-    ncols = len(cols)
+    columns = _d_columns(_one_form_differentials(L), n, k)
+    ncols = len(columns)
     flat = [L.field.zero] * (len(row_index) * ncols)
-    dt = _one_form_differentials(L)
-    for c, I in enumerate(cols):
-        for J, value in _d_basis(dt, I).items():
+    for c, column in enumerate(columns.values()):
+        for J, value in column.items():
             flat[row_index[J] * ncols + c] = value
     return CoboundaryMatrix(k, Matrix(L.field, len(row_index), ncols, flat))
 
@@ -597,6 +595,10 @@ def cohomology(L, max_dim=DEFAULT_MAX_DIM):
     Representatives are kernel vectors reduced modulo the image of the
     previous differential, kept in echelon form, scaled so the first
     nonzero coefficient (lex order on index tuples) is 1.
+
+    Each d_k is built once, as the sparse columns of _d_columns, and its
+    rows are their transpose.  Rows, kernel vectors and representatives
+    are engine rows keyed by index tuple throughout; no matrix is formed.
     """
     n = L.dim
     if n > max_dim:
@@ -608,46 +610,43 @@ def cohomology(L, max_dim=DEFAULT_MAX_DIM):
     if violations:
         raise JacobiViolation(violations)
     field = L.field
-    diffs = [ce_differential(L, k) for k in range(n + 1)]
-    ranks = []
-    kernels = []
-    for cb in diffs:
-        r, ker = rank_and_kernel(cb.matrix)
-        ranks.append(r)
-        kernels.append(ker)
-
-    betti = []
-    representatives = []
+    dt = _one_form_differentials(L)
+    betti, ranks, representatives = [], [], []
+    # the columns of d_{k-1}, which span the image in degree k
+    image, prev_rank = {}, 0
     for k in range(n + 1):
-        prev_rank = ranks[k - 1] if k > 0 else 0
-        betti_k = len(kernels[k]) - prev_rank
+        columns = _d_columns(dt, n, k)
+        rows = {}
+        for I, column in columns.items():
+            for J, c in column.items():
+                rows.setdefault(J, {})[I] = c
+        r, kernel = _rank_and_kernel([rows[J] for J in sorted(rows)], columns, field.one)
+        ranks.append(r)
+        betti_k = len(kernel) - prev_rank
         betti.append(betti_k)
-        if betti_k != comb(n, k) - ranks[k] - prev_rank:
+        if betti_k != comb(n, k) - r - prev_rank:
             raise InternalCheckFailed(
                 "degree %d: kernel dimension and rank disagree" % k
             )
 
         echelon = []
-        if k > 0:
-            image = diffs[k - 1].matrix
-            for j in range(image.cols):
-                if len(echelon) == prev_rank:
-                    break
-                _echelon_insert(echelon, image.col(j))
-        # engine rows hold field scalars in the lex order of index_tuples
-        tuples = index_tuples(n, k)
+        for column in image.values():
+            if len(echelon) == prev_rank:
+                break
+            _echelon_insert(echelon, column)
         reps = []
-        for vec in kernels[k]:
+        for vec in kernel:
             row = _echelon_insert(echelon, vec)
             if row is not None:
-                reps.append(ExteriorForm._trusted(
-                    n, k, field, {idx: x for idx, x in zip(tuples, row) if x}))
+                # engine rows hold nonzero field scalars; sorted keys are lex order
+                reps.append(ExteriorForm._trusted(n, k, field, {I: row[I] for I in sorted(row)}))
         if len(reps) != betti_k:
             raise InternalCheckFailed(
                 "degree %d: %d representatives for Betti number %d"
                 % (k, len(reps), betti_k)
             )
         representatives.append(reps)
+        image, prev_rank = columns, r
 
     if sum((-1) ** k * b for k, b in enumerate(betti)) != (1 if n == 0 else 0):
         raise InternalCheckFailed("Euler characteristic of %r is not zero" % L.name)

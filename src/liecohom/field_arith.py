@@ -10,12 +10,20 @@ guaranteed: negation, reciprocals, powers and constants are canonical by
 construction, and sums and products of reduced fractions use Henrici's
 gcd splitting, which skips every gcd with a constant argument.
 
-No other module eliminates.  _echelon_insert, with _reduce_against,
-answers every independence and membership question one vector at a time;
-_rref, the full reduced form, is insertion of every row plus back-reduction.
-One fraction-free kernel, _bareiss, takes rank and determinant over Z and
-Q[a]: every minor evaluate takes, once its denominators are cleared, and
-the selftest's rank oracle.
+No other module eliminates, and elimination runs on sparse rows: a row is
+a dict {key: nonzero scalar} whose lead is min(row), so a step touches
+only the entries that are there.  Keys are int positions for Matrix and
+dense-vector callers, converted at the boundary, and index tuples for
+forms, where the coeffs dict of an ExteriorForm already is a row.
+_echelon_insert, with _reduce_against, answers every independence and
+membership question one row at a time; _rref, the full reduced form, is
+insertion of every row plus back-reduction, and _rank_and_kernel reads a
+sparse kernel off it.  rank, rank_and_kernel and solve_in_span take and
+return dense data.  The reduced row echelon form is unique, and so is each
+row of an insertion echelon, so these answers are those of any exact
+elimination.  One fraction-free kernel, _bareiss, takes rank and
+determinant over Z and Q[a]: every minor evaluate takes, once its
+denominators are cleared, and the selftest's rank oracle.
 
 Scalar text syntax, used by every file format, is ordinary arithmetic
 notation over integers and at most one indeterminate.  Whitespace is
@@ -696,7 +704,7 @@ class Matrix:
     """Immutable dense matrix over a single field; entries row-major.
 
     A container with no matrix algebra: ranks, kernels, solving in a span
-    and quotient projections come from _rref, insertion plus back-reduction.
+    and quotient projections come from _rref on its rows made sparse.
     """
 
     __slots__ = ("field", "rows", "cols", "entries")
@@ -767,34 +775,52 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination
+# elimination on sparse rows (see the module docstring)
 
-def _reduce_against(echelon, vec):
-    """vec reduced against an echelon: a list of (lead, row) pairs, each row
-    1 at its lead and 0 at earlier leads.  Zero exactly when vec is in the span."""
-    vec = list(vec)
-    for lead, row in echelon:
-        c = vec[lead]
-        if c:
-            vec = [a - c * b for a, b in zip(vec, row)]
-    return vec
+def _sparse_row(vec):
+    """A dense vector as an engine row keyed by position."""
+    return {j: x for j, x in enumerate(vec) if x}
 
 
-def _echelon_insert(echelon, vec):
-    """Append vec reduced against the echelon, its lead scaled to 1, unless
+def _reduce_against(echelon, row):
+    """row reduced against an echelon: a list of (lead, row) pairs, each row
+    1 at its lead and without the earlier leads.  Empty exactly when row is
+    in the span.  Mutates nothing."""
+    row = dict(row)
+    get = row.get
+    for lead, other in echelon:
+        c = get(lead)
+        if c is None:
+            continue
+        for key, b in other.items():
+            x = get(key)
+            if x is None:
+                row[key] = -(c * b)
+            else:
+                x = x - c * b
+                if x:
+                    row[key] = x
+                else:
+                    del row[key]
+    return row
+
+
+def _echelon_insert(echelon, row):
+    """Append row reduced against the echelon, its lead scaled to 1, unless
     it reduces to zero; return the appended row, or None."""
-    vec = _reduce_against(echelon, vec)
-    for lead, x in enumerate(vec):
-        if x:
-            if x != 1:
-                vec = [a / x for a in vec]
-            echelon.append((lead, vec))
-            return vec
-    return None
+    row = _reduce_against(echelon, row)
+    if not row:
+        return None
+    lead = min(row)
+    x = row[lead]
+    if x != 1:
+        row = {key: a / x for key, a in row.items()}
+    echelon.append((lead, row))
+    return row
 
 
 def _rref(rows):
-    """Reduced row echelon form as (nonzero rows, pivot cols): every row is
+    """Reduced row echelon form as (nonzero rows, pivots): every row is
     inserted into an echelon, then each echelon row, from the last, is
     reduced against the rows after it.  Mutates nothing."""
     echelon = []
@@ -803,13 +829,34 @@ def _rref(rows):
     for i in reversed(range(len(echelon))):
         lead, row = echelon[i]
         echelon[i] = (lead, _reduce_against(echelon[i + 1:], row))
-    echelon.sort()
+    echelon.sort(key=lambda pair: pair[0])
     return [row for _, row in echelon], [lead for lead, _ in echelon]
+
+
+def _rank_and_kernel(rows, keys, one):
+    """(rank, kernel basis) of engine rows whose keys are among keys: one
+    kernel row per key that is not a pivot, in the order of keys, 1 there
+    and minus that key's column of the reduced echelon form at the
+    pivots."""
+    rref_rows, pivots = _rref(rows)
+    below = {}
+    for p, row in zip(pivots, rref_rows):
+        for key, x in row.items():
+            if key != p:
+                below.setdefault(key, {})[p] = -x
+    pivot_set = set(pivots)
+    kernel = []
+    for f in keys:
+        if f not in pivot_set:
+            v = {f: one}
+            v.update(below.get(f, ()))
+            kernel.append(v)
+    return len(pivots), kernel
 
 
 def rank(m):
     """Exact rank: the number of pivots of the reduced row echelon form."""
-    return len(_rref(m.to_rows())[1])
+    return len(_rref([_sparse_row(r) for r in m.to_rows()])[1])
 
 
 def rank_and_kernel(m):
@@ -818,21 +865,10 @@ def rank_and_kernel(m):
     One kernel vector per free column, free variable set to 1, taken in
     increasing column order.
     """
-    rref_rows, pivots = _rref(m.to_rows())
-    pivot_set = set(pivots)
-    zero, one = m.field.zero, m.field.one
-    kernel = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [zero] * m.cols
-        v[f] = one
-        for r, p in enumerate(pivots):
-            coeff = rref_rows[r][f]
-            if coeff:
-                v[p] = -coeff
-        kernel.append(v)
-    return len(pivots), kernel
+    r, kernel = _rank_and_kernel([_sparse_row(row) for row in m.to_rows()],
+                                 range(m.cols), m.field.one)
+    zero = m.field.zero
+    return r, [[v.get(j, zero) for j in range(m.cols)] for v in kernel]
 
 
 def solve_in_span(basis, target):
@@ -852,18 +888,15 @@ def solve_in_span(basis, target):
     if len(fields) > 1:
         raise MixedFields("span and target mix rational-function fields")
     field = fields.pop() if fields else QQ
-    ncols = len(basis) + 1
-    aug = []
-    for i in range(n):
-        row = [field.coerce(v[i]) for v in basis]
-        row.append(field.coerce(target[i]))
-        aug.append(row)
+    last = len(basis)
+    aug = [_sparse_row([field.coerce(v[i]) for v in basis] + [field.coerce(target[i])])
+           for i in range(n)]
     rref_rows, pivots = _rref(aug)
-    if pivots and pivots[-1] == ncols - 1:
+    if pivots and pivots[-1] == last:
         return None
-    coeffs = [field.zero] * len(basis)
-    for r, p in enumerate(pivots):
-        coeffs[p] = rref_rows[r][ncols - 1]
+    coeffs = [field.zero] * last
+    for row, p in zip(rref_rows, pivots):
+        coeffs[p] = row.get(last, field.zero)
     return coeffs
 
 

@@ -18,6 +18,7 @@ from .field_arith import (
     QQ,
     _echelon_insert,
     _rref,
+    _sparse_row,
     field_of,
     format_scalar,
     parse_scalar,
@@ -178,7 +179,7 @@ class Subspace:
                 )
         basis = [[field.coerce(x) for x in v] for v in basis]
         echelon = []
-        if any(_echelon_insert(echelon, v) is None for v in basis):
+        if any(_echelon_insert(echelon, _sparse_row(v)) is None for v in basis):
             raise ValueError("subspace basis is linearly dependent")
         self.ambient_dim = ambient_dim
         self.field = field
@@ -249,11 +250,11 @@ def ideal_check(L, h):
         raise MixedFields("subspace and algebra over different fields")
     echelon = []
     for w in h.basis:
-        _echelon_insert(echelon, w)
+        _echelon_insert(echelon, _sparse_row(w))
     for i in range(1, L.dim + 1):
         for w in h.basis:
             result = bracket(L, L.basis_vector(i), w)
-            if _echelon_insert(echelon, result) is not None:
+            if _echelon_insert(echelon, _sparse_row(result)) is not None:
                 return (i, w, result)
     return None
 
@@ -276,11 +277,12 @@ def quotient_algebra(L, h):
     q = n - m
 
     one, zero = field.one, field.zero
-    aug = [[v[i] for v in h.basis] + [one if c == i else zero for c in range(n)]
+    aug = [_sparse_row([v[i] for v in h.basis] + [one if c == i else zero for c in range(n)])
            for i in range(n)]
     rref_rows, pivots = _rref(aug)
     chosen = [p - m + 1 for p in pivots[m:]]
-    projection = Matrix.from_rows(field, [row[m:] for row in rref_rows[m:]], cols=n)
+    projection = Matrix.from_rows(field, [[row.get(m + c, zero) for c in range(n)]
+                                          for row in rref_rows[m:]], cols=n)
     section_rows = [[one if chosen[b] == i + 1 else zero for b in range(q)]
                     for i in range(n)]
     section = Matrix.from_rows(field, section_rows, cols=q)
@@ -315,7 +317,7 @@ def torus_ideal_from_directions(n, directions, field=None):
             )
     directions = [[field.coerce(x) for x in v] for v in directions]
     echelon = []
-    kept = [v for v in directions if _echelon_insert(echelon, v) is not None]
+    kept = [v for v in directions if _echelon_insert(echelon, _sparse_row(v)) is not None]
     return Subspace(n, kept, field)
 
 

@@ -10,9 +10,9 @@ along the projection g -> g/h identifies the complex of g/h with the
 subcomplex of h-horizontal forms on g, compatibly with the differentials.
 One wedge-power builder makes both sides: wedges of the horizontal
 1-forms, and wedges of the pulled-back coordinate 1-forms.  The span
-tests hand both sides to ce_complex, which lays them out as elimination
-rows over the index tuples they use; no form becomes a C(n, k)-long
-vector here.
+tests hand both sides to the elimination engine as they are, since the
+coefficient dict of a form is an engine row keyed by index tuple; no form
+becomes a C(n, k)-long vector here.
 """
 
 from math import comb
@@ -22,7 +22,6 @@ from .ce_complex import (
     ExteriorForm,
     _d_basis,
     _d_form,
-    _form_rows,
     _horizontal_powers,
     _one_form_differentials,
     _wedge_powers,
@@ -162,8 +161,7 @@ def chain_iso_check(L, h):
     span questions: the basis is independent when every form inserts into
     it, and then, with the horizontal space of that same dimension, the
     two spaces agree exactly when every horizontal form reduces to zero
-    against it.  Both sides of a degree become rows together, through
-    ce_complex._form_rows, over the index tuples they use.
+    against it.  The forms' coefficient dicts are the engine's rows.
     """
     return _chain_iso_check(L, h, quotient_algebra(L, h))
 
@@ -185,13 +183,12 @@ def _chain_iso_check(L, h, qd):
         if k > q:
             continue
         upper = next(pullbacks, {})
-        rows = _form_rows(list(table.values()) + list(hor.values()))
         echelon = []
-        for row in rows[:len(table)]:
-            if _echelon_insert(echelon, row) is None:
+        for pb in table.values():
+            if _echelon_insert(echelon, pb.coeffs) is None:
                 return (k, None, "pulled-back basis is linearly dependent")
-        for row in rows[len(table):]:
-            if any(_reduce_against(echelon, row)):
+        for f in hor.values():
+            if _reduce_against(echelon, f.coeffs):
                 return (k, basis_form(field, q, next(iter(table))),
                         "pullback leaves the horizontal subspace")
         for I, pb in table.items():

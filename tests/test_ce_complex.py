@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -10,7 +10,6 @@ from _families import filiform, heisenberg as heisenberg_family, rebased, solv, 
 from liecohom import ce_complex, field_arith
 from liecohom.ce_complex import (
     ExteriorForm,
-    _form_rows,
     basis_form,
     ce_differential,
     cohomology,
@@ -451,6 +450,15 @@ def test_differential_shape_and_range():
         ce_differential(L, -1)
 
 
+@pytest.mark.parametrize("k", [1.5, True], ids=["float", "bool"])
+def test_differential_names_a_bad_degree_as_given(k):
+    # the check runs before any tuple list, so the message names k itself,
+    # not k + 1, and a bool is not taken for the integer 1
+    with pytest.raises(DegreeOutOfRange) as info:
+        ce_differential(so3(), k)
+    assert str(info.value).endswith("got %r" % (k,))
+
+
 def test_d_squared_zero_catalog():
     for L in (so3(), sl2(), heisenberg(), LieAlgebra.abelian("a5", 5, QQ)):
         for k in range(L.dim):
@@ -689,6 +697,54 @@ def test_cohomology_matches_bruteforce_more():
     assert cohomology(sl2()).betti == _oracle.betti_numbers(sl2())
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_cohomology_heisenberg_santharoubane(m):
+    # Santharoubane (Proc. AMS 87, 1983): b_k(h_{2m+1}) = C(2m, k) - C(2m, k-2)
+    # for k <= m, and b_{2m+1-k} = b_k; h_11 is m = 5
+    n = 2 * m + 1
+    rep = cohomology(heisenberg_family(m))
+    low = [comb(2 * m, k) - (comb(2 * m, k - 2) if k >= 2 else 0) for k in range(m + 1)]
+    assert rep.betti == low + low[::-1]
+    assert len(rep.betti) == n + 1
+
+
+def _mahonian(N):
+    """Number of permutations of N letters with k inversions, k = 0, 1, ...,
+    counted over all N! permutations."""
+    counts = [0] * (comb(N, 2) + 1)
+    for perm in permutations(range(N)):
+        counts[sum(1 for i, j in combinations(range(N), 2) if perm[i] > perm[j])] += 1
+    return counts
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_cohomology_strictly_upper_kostant(N):
+    # Kostant: b_k(n_N) counts the permutations of N letters with k
+    # inversions; n_5 gives 1, 4, 9, 15, 20, 22, 20, 15, 9, 4, 1
+    rep = cohomology(strictly_upper(N))
+    assert rep.betti == _mahonian(N)
+    if N == 5:
+        assert rep.betti == [1, 4, 9, 15, 20, 22, 20, 15, 9, 4, 1]
+
+
+def test_cohomology_filiform_12():
+    # L_12: b_1 = n - dim [g, g] = 12 - 10, Poincare duality (a nilpotent
+    # algebra is unimodular), Euler characteristic zero, and every
+    # representative a cocycle with leading coefficient 1
+    L = filiform(12)
+    rep = cohomology(L)
+    assert rep.betti[1] == 2
+    assert rep.betti == rep.betti[::-1]
+    assert sum((-1) ** k * b for k, b in enumerate(rep.betti)) == 0
+    for k in range(13):
+        prev = rep.ranks[k - 1] if k else 0
+        assert rep.betti[k] == comb(12, k) - rep.ranks[k] - prev
+    for forms in rep.representatives:
+        for f in forms:
+            assert next(iter(f.coeffs.values())) == 1
+            assert d_apply(L, f).is_zero
+
+
 def test_cohomology_abelian_binomials():
     for n in range(0, 7):
         rep = cohomology(LieAlgebra.abelian("a%d" % n, n, QQ))
@@ -735,7 +791,7 @@ def test_representatives_independent_modulo_image():
 
 def test_cohomology_takes_one_reduced_echelon_form_per_degree(monkeypatch):
     # the image echelon of d_{k-1} is built by inserting its columns, so the
-    # only reduced echelon forms are the n + 1 behind rank_and_kernel
+    # only reduced echelon forms are the n + 1 behind _rank_and_kernel
     calls = []
     real = field_arith._rref
 
@@ -781,9 +837,9 @@ def sparse_form(rng, field, n, degree):
 
 @pytest.mark.parametrize("field", [QQ, FA], ids=["Q", "Q(a)"])
 def test_form_rows_give_the_span_verdicts_of_full_vectors(field):
-    # the engine on rows over the tuples the forms use against the oracle
-    # on full C(n, k)-long vectors: each insertion (independence) and each
-    # reduction (membership) verdict
+    # the engine on the forms' coefficient dicts, which are its rows keyed
+    # by index tuple, against the oracle on full C(n, k)-long vectors: each
+    # insertion (independence) and each reduction (membership) verdict
     rng = random.Random(71)
     verdicts = set()
     for _ in range(40):
@@ -802,9 +858,9 @@ def test_form_rows_give_the_span_verdicts_of_full_vectors(field):
         targets = [forms[-1] * 3 + forms[0], zero_form(field, n, k), forms[1],
                    restricted(sparse_form(rng, field, n, k), tuples[cut:]),
                    sparse_form(rng, field, n, k)]
-        rows = _form_rows(forms + targets)
+        rows = [f.coeffs for f in forms + targets]
+        before = [dict(row) for row in rows]
         full = [full_vector(f) for f in forms + targets]
-        assert all(len(row) <= len(tuples) for row in rows)
         echelon = []
         for i, row in enumerate(rows[:len(forms)]):
             independent = _echelon_insert(echelon, row) is not None
@@ -812,11 +868,13 @@ def test_form_rows_give_the_span_verdicts_of_full_vectors(field):
             verdicts.add(("independent", independent))
         span_rank = _oracle.gauss_rank(full[:len(forms)])
         for row, vec in zip(rows[len(forms):], full[len(forms):]):
-            outside = any(_reduce_against(echelon, row))
+            outside = bool(_reduce_against(echelon, row))
             assert outside == (_oracle.gauss_rank(full[:len(forms)] + [vec]) > span_rank)
             verdicts.add(("outside", outside))
+        # every row the echelon holds uses only tuples the forms use
+        assert all(set(row) <= set(tuples) for _, row in echelon)
+        assert rows == before
     assert len(verdicts) == 4
-    assert _form_rows([]) == []
 
 
 def test_cohomology_rejects_jacobi_violations():

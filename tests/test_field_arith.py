@@ -21,9 +21,12 @@ from liecohom.field_arith import (
     Poly,
     QQ,
     RationalFunction,
+    _bareiss,
     _echelon_insert,
+    _rank_and_kernel,
     _reduce_against,
     _rref,
+    _sparse_row,
     format_scalar,
     parse_scalar,
     rank,
@@ -253,13 +256,22 @@ def _random_vector_lists(rng, field, count):
         yield n, vectors
 
 
+def _dense(row, n, field):
+    """An engine row keyed by position as a dense vector of length n."""
+    assert all(x for x in row.values()), "engine rows store no zeros"
+    return [row.get(j, field.zero) for j in range(n)]
+
+
 @pytest.mark.parametrize("field", [QQ, FA])
 def test_echelon_insert_keeps_the_greedy_independent_set(field):
+    # engine rows are dicts keyed by position, lead min(row), no zeros stored
     rng = random.Random(7 if field is QQ else 8)
     for n, vectors in _random_vector_lists(rng, field, 150 if field is QQ else 25):
         echelon, kept = [], []
         for v in vectors:
-            row = _echelon_insert(echelon, v)
+            given = _sparse_row(v)
+            row = _echelon_insert(echelon, given)
+            assert given == _sparse_row(v)
             independent = _oracle.gauss_rank(kept + [v]) > len(kept)
             assert (row is not None) == independent
             if row is None:
@@ -267,18 +279,20 @@ def test_echelon_insert_keeps_the_greedy_independent_set(field):
             kept.append(v)
             lead, stored = echelon[-1]
             assert stored is row
-            assert row[lead] == 1 and not any(row[:lead])
+            assert row[lead] == 1 and min(row) == lead
             # row differs from v by a combination of the rows before it
-            assert _oracle.gauss_rank(kept[:-1] + [row]) == len(kept)
-            assert _oracle.gauss_rank(kept + [row]) == len(kept)
+            dense = _dense(row, n, field)
+            assert _oracle.gauss_rank(kept[:-1] + [dense]) == len(kept)
+            assert _oracle.gauss_rank(kept + [dense]) == len(kept)
         assert len(echelon) == len(kept) == _oracle.gauss_rank(vectors)
         for r, (lead, row) in enumerate(echelon):
-            assert all(not row[earlier] for earlier, _ in echelon[:r])
+            assert all(earlier not in row for earlier, _ in echelon[:r])
         # membership: reduction leaves zero exactly on the span
         for v in vectors + [[field.one] * n]:
-            reduced = _reduce_against(echelon, v)
-            assert all(not reduced[lead] for lead, _ in echelon)
-            assert (not any(reduced)) == (_oracle.gauss_rank(kept + [v]) == len(kept))
+            reduced = _reduce_against(echelon, _sparse_row(v))
+            _dense(reduced, n, field)
+            assert all(lead not in reduced for lead, _ in echelon)
+            assert (not reduced) == (_oracle.gauss_rank(kept + [v]) == len(kept))
 
 
 @pytest.mark.parametrize("field", [QQ, FA])
@@ -287,11 +301,92 @@ def test_rref_matches_gauss_jordan(field):
     rng = random.Random(11 if field is QQ else 12)
     seen_tall = False
     for n, vectors in _random_vector_lists(rng, field, 150 if field is QQ else 25):
-        before = [list(v) for v in vectors]
-        assert _rref(vectors) == _oracle.gauss_jordan(vectors)
-        assert vectors == before
+        rows = [_sparse_row(v) for v in vectors]
+        before = [dict(row) for row in rows]
+        rref_rows, pivots = _rref(rows)
+        assert ([_dense(row, n, field) for row in rref_rows], pivots) == \
+            _oracle.gauss_jordan(vectors)
+        assert rows == before
         seen_tall = seen_tall or len(vectors) > n
     assert seen_tall
+
+
+def _random_sparse_rows(rng, field, count):
+    """(ncols, engine rows keyed by position) at densities from 10% to 50%,
+    with repeated and dependent rows, over Q or Q(a)."""
+    def scalar():
+        x = Fraction(rng.choice([1, -1, 2, 3, -5, 7]), rng.randint(1, 4))
+        if field is FA and rng.random() < 0.4:
+            return x * A + rng.randint(-2, 2)
+        return field.coerce(x)
+
+    for _ in range(count):
+        ncols = rng.randint(1, 12)
+        density = rng.choice((0.1, 0.2, 0.3, 0.5))
+        rows = []
+        for _ in range(rng.randint(0, 9)):
+            if len(rows) >= 2 and rng.random() < 0.25:
+                a, b = rng.sample(rows, 2)
+                c = scalar()
+                mixed = dict(a)
+                for key, x in b.items():
+                    mixed[key] = mixed.get(key, field.zero) + c * x
+                rows.append({key: x for key, x in mixed.items() if x})
+            else:
+                rows.append({j: scalar() for j in range(ncols) if rng.random() < density})
+        yield ncols, rows
+
+
+def _fraction_free(field, rows, ncols):
+    """Dense rows over Z or Q[a] with the row spaces of the given rows."""
+    cleared = []
+    for row in rows:
+        values = _dense(row, ncols, field)
+        cleared.append(ce_complex._cleared(field, values)[0])
+    return cleared
+
+
+@pytest.mark.parametrize("field", [QQ, FA], ids=["Q", "Q(a)"])
+def test_sparse_engine_on_random_sparse_matrices(field):
+    # rank against the fraction-free kernel, the reduced form against the
+    # oracle's dense Gauss-Jordan, every kernel row annihilated, and tuple
+    # keys in lex order giving the echelon of int keys
+    rng = random.Random(41 if field is QQ else 42)
+    one = 1 if field is QQ else _POLY_ONE
+    tuples = list(ce_complex.index_tuples(7, 3))
+    ranks = set()
+    for ncols, rows in _random_sparse_rows(rng, field, 200 if field is QQ else 40):
+        r, kernel = _rank_and_kernel(rows, range(ncols), field.one)
+        ranks.add(r)
+        assert r == _bareiss(_fraction_free(field, rows, ncols), one)[0]
+        assert r + len(kernel) == ncols
+        rref_rows, pivots = _rref(rows)
+        dense = [_dense(row, ncols, field) for row in rows]
+        assert ([_dense(row, ncols, field) for row in rref_rows], pivots) == \
+            _oracle.gauss_jordan(dense)
+        for v in kernel:
+            _dense(v, ncols, field)
+            for row in rows:
+                assert not sum((x * v[key] for key, x in row.items() if key in v),
+                               field.zero)
+
+        # the order-preserving relabelling j -> tuples[j] commutes with the engine
+        def relabel(row):
+            return {tuples[j]: x for j, x in row.items()}
+
+        by_tuple = [relabel(row) for row in rows]
+        got_rows, got_pivots = _rref(by_tuple)
+        assert got_rows == [relabel(row) for row in rref_rows]
+        assert got_pivots == [tuples[p] for p in pivots]
+        echelon_int, echelon_tuple = [], []
+        for row, row_t in zip(rows, by_tuple):
+            inserted = _echelon_insert(echelon_int, row)
+            inserted_t = _echelon_insert(echelon_tuple, row_t)
+            assert (inserted is None) == (inserted_t is None)
+        assert echelon_tuple == [(tuples[lead], relabel(row)) for lead, row in echelon_int]
+        assert _rank_and_kernel(by_tuple, tuples[:ncols], field.one)[1] == \
+            [relabel(v) for v in kernel]
+    assert len(ranks) >= 5
 
 
 def test_rank_rational_function_matrix():

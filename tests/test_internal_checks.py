@@ -31,12 +31,12 @@ from liecohom.quotient_pipeline import DenseQuotientInput
 so3 = LieAlgebra("so3", 3, QQ, {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}})
 heis = LieAlgebra("heisenberg3", 3, QQ, {(1, 2): {3: 1}})
 centre = Subspace(3, [[0, 0, 1]], QQ)
-real_rank_and_kernel = ce_complex.rank_and_kernel
+real_rank_and_kernel = ce_complex._rank_and_kernel
 real_cohomology = quotient_pipeline.cohomology
 
 
-def drop_kernel_vector(m):
-    r, kernel = real_rank_and_kernel(m)
+def drop_kernel_vector(rows, keys, one):
+    r, kernel = real_rank_and_kernel(rows, keys, one)
     return r, kernel[:-1]
 
 
@@ -47,7 +47,7 @@ def wrong_betti(L, max_dim):
 
 
 cases = [
-    ("kernel_vs_rank", ce_complex, "rank_and_kernel", drop_kernel_vector,
+    ("kernel_vs_rank", ce_complex, "_rank_and_kernel", drop_kernel_vector,
      lambda: ce_complex.cohomology(so3)),
     ("representatives", ce_complex, "_echelon_insert", lambda echelon, vec: None,
      lambda: ce_complex.cohomology(so3)),
@@ -98,13 +98,15 @@ HEIS = {"name": "heisenberg3", "dimension": 3, "field": "Q",
 
 
 def test_cli_cohomology_exits_6(tmp_path, capsys, monkeypatch):
-    real = ce_complex.rank_and_kernel
+    # cohomology takes each degree's rank and sparse kernel from the
+    # engine's _rank_and_kernel; a dropped kernel vector must exit 6
+    real = ce_complex._rank_and_kernel
 
-    def drop_kernel_vector(m):
-        r, kernel = real(m)
+    def drop_kernel_vector(rows, keys, one):
+        r, kernel = real(rows, keys, one)
         return r, kernel[:-1]
 
-    monkeypatch.setattr(ce_complex, "rank_and_kernel", drop_kernel_vector)
+    monkeypatch.setattr(ce_complex, "_rank_and_kernel", drop_kernel_vector)
     assert main(["cohomology", _write(tmp_path, HEIS)]) == 6
     captured = capsys.readouterr()
     assert captured.out == ""
