@@ -58,9 +58,9 @@ from .field_arith import (
     _echelon_insert,
     _integer_row,
     _rank_and_kernel,
+    _sparse_row,
     format_scalar,
     poly_gcd,
-    rank_and_kernel,
 )
 from .lie_core import jacobi_check
 
@@ -513,9 +513,8 @@ def _horizontal_powers(L, h):
     """_wedge_powers over the 1-forms alpha_f of horizontal_basis: one
     elimination of h's basis, then the horizontal basis of every degree."""
     n = L.dim
-    _, kernel = rank_and_kernel(Matrix(L.field, h.size, n, [x for w in h.basis for x in w]))
-    alphas = [ExteriorForm._trusted(n, 1, L.field,
-                                    {(a,): x for a, x in enumerate(v, start=1) if x})
+    _, kernel = _rank_and_kernel([_sparse_row(w) for w in h.basis], range(n), L.field.one)
+    alphas = [ExteriorForm._trusted(n, 1, L.field, {(a + 1,): v[a] for a in sorted(v)})
               for v in kernel]
     return _wedge_powers(n, L.field, alphas)
 
@@ -596,9 +595,10 @@ def cohomology(L, max_dim=DEFAULT_MAX_DIM):
     previous differential, kept in echelon form, scaled so the first
     nonzero coefficient (lex order on index tuples) is 1.
 
-    Each d_k is built once, as the sparse columns of _d_columns, and its
-    rows are their transpose.  Rows, kernel vectors and representatives
-    are engine rows keyed by index tuple throughout; no matrix is formed.
+    Each d_k is built once, as the sparse columns of _d_columns; its rows,
+    their transpose, are eliminated once, and its pivot columns alone are
+    inserted as the image echelon of degree k+1.  Rows, kernel vectors and
+    representatives are engine rows keyed by index tuple; no matrix is formed.
     """
     n = L.dim
     if n > max_dim:
@@ -612,27 +612,25 @@ def cohomology(L, max_dim=DEFAULT_MAX_DIM):
     field = L.field
     dt = _one_form_differentials(L)
     betti, ranks, representatives = [], [], []
-    # the columns of d_{k-1}, which span the image in degree k
-    image, prev_rank = {}, 0
+    # the pivot columns of d_{k-1}, a basis of the image in degree k
+    image = []
     for k in range(n + 1):
         columns = _d_columns(dt, n, k)
         rows = {}
         for I, column in columns.items():
             for J, c in column.items():
                 rows.setdefault(J, {})[I] = c
-        r, kernel = _rank_and_kernel([rows[J] for J in sorted(rows)], columns, field.one)
-        ranks.append(r)
-        betti_k = len(kernel) - prev_rank
+        pivots, kernel = _rank_and_kernel([rows[J] for J in sorted(rows)], columns, field.one)
+        ranks.append(len(pivots))
+        betti_k = len(kernel) - len(image)
         betti.append(betti_k)
-        if betti_k != comb(n, k) - r - prev_rank:
+        if betti_k != comb(n, k) - len(pivots) - len(image):
             raise InternalCheckFailed(
                 "degree %d: kernel dimension and rank disagree" % k
             )
 
         echelon = []
-        for column in image.values():
-            if len(echelon) == prev_rank:
-                break
+        for column in image:
             _echelon_insert(echelon, column)
         reps = []
         for vec in kernel:
@@ -646,7 +644,7 @@ def cohomology(L, max_dim=DEFAULT_MAX_DIM):
                 % (k, len(reps), betti_k)
             )
         representatives.append(reps)
-        image, prev_rank = columns, r
+        image = [columns[I] for I in pivots]
 
     if sum((-1) ** k * b for k, b in enumerate(betti)) != (1 if n == 0 else 0):
         raise InternalCheckFailed("Euler characteristic of %r is not zero" % L.name)

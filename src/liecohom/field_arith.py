@@ -16,14 +16,14 @@ only the entries that are there.  Keys are int positions for Matrix and
 dense-vector callers, converted at the boundary, and index tuples for
 forms, where the coeffs dict of an ExteriorForm already is a row.
 _echelon_insert, with _reduce_against, answers every independence and
-membership question one row at a time; _rref, the full reduced form, is
-insertion of every row plus back-reduction, and _rank_and_kernel reads a
-sparse kernel off it.  rank, rank_and_kernel and solve_in_span take and
-return dense data.  The reduced row echelon form is unique, and so is each
-row of an insertion echelon, so these answers are those of any exact
-elimination.  One fraction-free kernel, _bareiss, takes rank and
-determinant over Z and Q[a]: every minor evaluate takes, once its
-denominators are cleared, and the selftest's rank oracle.
+membership question one row at a time, and rank; _rref, the full reduced
+form, is insertion of every row plus back-reduction, and _rank_and_kernel
+returns its pivots and a sparse kernel read off it.  rank, rank_and_kernel
+and solve_in_span take and return dense data.  The reduced row echelon
+form is unique, and so is each row of an insertion echelon, so these
+answers are those of any exact elimination.  One fraction-free kernel,
+_bareiss, takes rank and determinant over Z and Q[a]: every minor evaluate
+takes, once its denominators are cleared, and the selftest's rank oracle.
 
 Scalar text syntax, used by every file format, is ordinary arithmetic
 notation over integers and at most one indeterminate.  Whitespace is
@@ -704,7 +704,7 @@ class Matrix:
     """Immutable dense matrix over a single field; entries row-major.
 
     A container with no matrix algebra: ranks, kernels, solving in a span
-    and quotient projections come from _rref on its rows made sparse.
+    and quotient projections come from the engine on its rows made sparse.
     """
 
     __slots__ = ("field", "rows", "cols", "entries")
@@ -834,10 +834,10 @@ def _rref(rows):
 
 
 def _rank_and_kernel(rows, keys, one):
-    """(rank, kernel basis) of engine rows whose keys are among keys: one
-    kernel row per key that is not a pivot, in the order of keys, 1 there
-    and minus that key's column of the reduced echelon form at the
-    pivots."""
+    """(pivots, kernel basis) of engine rows whose keys are among keys: the
+    increasing pivots of _rref, and one kernel row per other key, in the
+    order of keys, 1 there and minus that key's column of the reduced
+    echelon form at the pivots."""
     rref_rows, pivots = _rref(rows)
     below = {}
     for p, row in zip(pivots, rref_rows):
@@ -851,12 +851,15 @@ def _rank_and_kernel(rows, keys, one):
             v = {f: one}
             v.update(below.get(f, ()))
             kernel.append(v)
-    return len(pivots), kernel
+    return pivots, kernel
 
 
 def rank(m):
-    """Exact rank: the number of pivots of the reduced row echelon form."""
-    return len(_rref([_sparse_row(r) for r in m.to_rows()])[1])
+    """Exact rank: the number of rows an insertion echelon takes."""
+    echelon = []
+    for row in m.to_rows():
+        _echelon_insert(echelon, _sparse_row(row))
+    return len(echelon)
 
 
 def rank_and_kernel(m):
@@ -865,10 +868,10 @@ def rank_and_kernel(m):
     One kernel vector per free column, free variable set to 1, taken in
     increasing column order.
     """
-    r, kernel = _rank_and_kernel([_sparse_row(row) for row in m.to_rows()],
-                                 range(m.cols), m.field.one)
+    pivots, kernel = _rank_and_kernel([_sparse_row(row) for row in m.to_rows()],
+                                      range(m.cols), m.field.one)
     zero = m.field.zero
-    return r, [[v.get(j, zero) for j in range(m.cols)] for v in kernel]
+    return len(pivots), [[v.get(j, zero) for j in range(m.cols)] for v in kernel]
 
 
 def solve_in_span(basis, target):

@@ -221,9 +221,8 @@ def suite_d_squared(rng, tol, step):
     checks = 0
     for entry in selftest_entries():
         L = entry.algebra
-        for k in range(L.dim):
-            dk = ce_differential(L, k).matrix
-            dk1 = ce_differential(L, k + 1).matrix
+        d = [ce_differential(L, k).matrix for k in range(L.dim + 1)]
+        for k, (dk, dk1) in enumerate(zip(d, d[1:])):
             if any(any(dk1.mul_vec(dk.col(j))) for j in range(dk.cols)):
                 raise SuiteFailure("d squared nonzero on %s in degree %d" % (L.name, k))
             checks += 1
@@ -288,13 +287,13 @@ def suite_horizontal(rng, tol, step):
         L = entry.algebra
         h = _entry_ideal(entry)
         n, m = L.dim, h.size
-        for k in range(n + 1):
-            hor = horizontal_basis(L, h, k)
+        bases = [horizontal_basis(L, h, k) for k in range(n + 1)]
+        for k, hor in enumerate(bases):
             if len(hor) != comb(n - m, k):
                 raise SuiteFailure("horizontal dimension wrong for %s" % L.name)
             if k < n:
                 echelon = []
-                for g in horizontal_basis(L, h, k + 1):
+                for g in bases[k + 1]:
                     _echelon_insert(echelon, g.coeffs)
                 for f in hor:
                     if _reduce_against(echelon, d_apply(L, f).coeffs):

@@ -654,19 +654,25 @@ def test_horizontal_basis_equals_contraction_kernel_exactly():
 
 
 def test_horizontal_basis_eliminates_only_the_basis_of_h(monkeypatch):
+    # the only elimination is of h's basis as sparse rows keyed by position,
+    # and no Matrix is built on the way
     shapes = []
-    real = ce_complex.rank_and_kernel
+    real = ce_complex._rank_and_kernel
 
-    def recording(m):
-        shapes.append(m.shape)
-        return real(m)
+    def recording(rows, keys, one):
+        shapes.append((len(rows), list(keys), all(set(row) <= set(keys) for row in rows)))
+        return real(rows, keys, one)
 
-    monkeypatch.setattr(ce_complex, "rank_and_kernel", recording)
+    def refuse(*args, **kwargs):
+        raise AssertionError("Matrix built on the horizontal path")
+
+    monkeypatch.setattr(ce_complex, "_rank_and_kernel", recording)
+    monkeypatch.setattr(ce_complex, "Matrix", refuse)
     for L, h in exactness_cases():
         for k in range(L.dim + 1):
             del shapes[:]
             horizontal_basis(L, h, k)
-            assert all(shape == (h.size, L.dim) for shape in shapes), (L.name, k, shapes)
+            assert shapes == [(h.size, list(range(L.dim)), True)], (L.name, k, shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -790,8 +796,8 @@ def test_representatives_independent_modulo_image():
 
 
 def test_cohomology_takes_one_reduced_echelon_form_per_degree(monkeypatch):
-    # the image echelon of d_{k-1} is built by inserting its columns, so the
-    # only reduced echelon forms are the n + 1 behind _rank_and_kernel
+    # the image echelon of d_{k-1} is built by inserting its pivot columns,
+    # so the only reduced echelon forms are the n + 1 behind _rank_and_kernel
     calls = []
     real = field_arith._rref
 
@@ -804,6 +810,26 @@ def test_cohomology_takes_one_reduced_echelon_form_per_degree(monkeypatch):
             monkeypatch.setattr(module, "_rref", counted)
     cohomology(filiform(7))
     assert len(calls) == 8
+
+
+@pytest.mark.parametrize("L", [filiform(7), heisenberg_family(3), strictly_upper(4), solv(5)],
+                         ids=lambda L: L.name)
+def test_cohomology_inserts_2_to_the_n_rows(L, monkeypatch):
+    # degree k inserts the rank d_{k-1} pivot columns of d_{k-1} and the
+    # dim ker d_k kernel vectors, so no column that reduces to zero against
+    # the image is inserted, and the sum over k is 2^n
+    calls = []
+    real = ce_complex._echelon_insert
+
+    def counted(echelon, row):
+        inserted = real(echelon, row)
+        calls.append(inserted is not None)
+        return inserted
+
+    monkeypatch.setattr(ce_complex, "_echelon_insert", counted)
+    report = cohomology(L)
+    assert len(calls) == 2 ** L.dim
+    assert sum(calls) == sum(report.ranks) + sum(report.betti)
 
 
 def test_cohomology_builds_no_form_through_the_constructor(monkeypatch):

@@ -349,18 +349,21 @@ def _fraction_free(field, rows, ncols):
 @pytest.mark.parametrize("field", [QQ, FA], ids=["Q", "Q(a)"])
 def test_sparse_engine_on_random_sparse_matrices(field):
     # rank against the fraction-free kernel, the reduced form against the
-    # oracle's dense Gauss-Jordan, every kernel row annihilated, and tuple
-    # keys in lex order giving the echelon of int keys
+    # oracle's dense Gauss-Jordan, the pivots those of the reduced form,
+    # every kernel row annihilated, and tuple keys in lex order giving the
+    # echelon of int keys
     rng = random.Random(41 if field is QQ else 42)
     one = 1 if field is QQ else _POLY_ONE
     tuples = list(ce_complex.index_tuples(7, 3))
     ranks = set()
     for ncols, rows in _random_sparse_rows(rng, field, 200 if field is QQ else 40):
-        r, kernel = _rank_and_kernel(rows, range(ncols), field.one)
+        pivots, kernel = _rank_and_kernel(rows, range(ncols), field.one)
+        r = len(pivots)
         ranks.add(r)
         assert r == _bareiss(_fraction_free(field, rows, ncols), one)[0]
         assert r + len(kernel) == ncols
-        rref_rows, pivots = _rref(rows)
+        rref_rows, rref_pivots = _rref(rows)
+        assert pivots == rref_pivots
         dense = [_dense(row, ncols, field) for row in rows]
         assert ([_dense(row, ncols, field) for row in rref_rows], pivots) == \
             _oracle.gauss_jordan(dense)

@@ -36,8 +36,13 @@ real_cohomology = quotient_pipeline.cohomology
 
 
 def drop_kernel_vector(rows, keys, one):
-    r, kernel = real_rank_and_kernel(rows, keys, one)
-    return r, kernel[:-1]
+    pivots, kernel = real_rank_and_kernel(rows, keys, one)
+    return pivots, kernel[:-1]
+
+
+def drop_pivot(rows, keys, one):
+    pivots, kernel = real_rank_and_kernel(rows, keys, one)
+    return pivots[:-1], kernel
 
 
 def wrong_betti(L, max_dim):
@@ -48,6 +53,8 @@ def wrong_betti(L, max_dim):
 
 cases = [
     ("kernel_vs_rank", ce_complex, "_rank_and_kernel", drop_kernel_vector,
+     lambda: ce_complex.cohomology(so3)),
+    ("pivots_vs_kernel", ce_complex, "_rank_and_kernel", drop_pivot,
      lambda: ce_complex.cohomology(so3)),
     ("representatives", ce_complex, "_echelon_insert", lambda echelon, vec: None,
      lambda: ce_complex.cohomology(so3)),
@@ -80,6 +87,7 @@ def test_checks_fire_under_optimize():
     assert proc.stdout.splitlines() == [
         "optimize=1",
         "kernel_vs_rank: raised",
+        "pivots_vs_kernel: raised",
         "representatives: raised",
         "quotient_jacobi: raised",
         "abelian_betti: raised",
@@ -97,20 +105,30 @@ HEIS = {"name": "heisenberg3", "dimension": 3, "field": "Q",
         "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "coeff": "1"}]}]}
 
 
-def test_cli_cohomology_exits_6(tmp_path, capsys, monkeypatch):
-    # cohomology takes each degree's rank and sparse kernel from the
-    # engine's _rank_and_kernel; a dropped kernel vector must exit 6
+def _assert_cohomology_exits_6(tmp_path, capsys, monkeypatch, doctor):
+    """`cohomology` on HEIS, with _rank_and_kernel's answer passed through
+    doctor(pivots, kernel), exits 6 with no report and says why."""
     real = ce_complex._rank_and_kernel
-
-    def drop_kernel_vector(rows, keys, one):
-        r, kernel = real(rows, keys, one)
-        return r, kernel[:-1]
-
-    monkeypatch.setattr(ce_complex, "_rank_and_kernel", drop_kernel_vector)
+    monkeypatch.setattr(ce_complex, "_rank_and_kernel",
+                        lambda rows, keys, one: doctor(*real(rows, keys, one)))
     assert main(["cohomology", _write(tmp_path, HEIS)]) == 6
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal check failed" in captured.err
+
+
+def test_cli_cohomology_exits_6(tmp_path, capsys, monkeypatch):
+    # cohomology takes each degree's pivots and sparse kernel from the
+    # engine's _rank_and_kernel; a dropped kernel vector must exit 6
+    _assert_cohomology_exits_6(tmp_path, capsys, monkeypatch,
+                               lambda pivots, kernel: (pivots, kernel[:-1]))
+
+
+def test_cli_cohomology_exits_6_on_a_dropped_pivot(tmp_path, capsys, monkeypatch):
+    # the pivots give the rank and the next degree's image; heisenberg3
+    # has a pivot in degree 1, so dropping the last one must exit 6
+    _assert_cohomology_exits_6(tmp_path, capsys, monkeypatch,
+                               lambda pivots, kernel: (pivots[:-1], kernel))
 
 
 def test_cli_quotient_exits_6(tmp_path, capsys, monkeypatch):
