@@ -4,7 +4,7 @@ Commands: validate, cohomology, quotient, catalog, selftest.  Reports go to
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 Jacobi violation,
 2 not an ideal, 3 parse error or unknown key, 4 dimension cap exceeded,
 5 selftest failure, 6 an internal consistency check failed (a bug: the
-report would be wrong, so none is printed).
+report would be wrong, so none is printed).  One parser serves every call.
 """
 
 import argparse
@@ -186,6 +186,8 @@ def cmd_catalog(args):
             for key in catalog_keys():
                 print("%s: %s" % (key, describe(key)))
         return EXIT_OK
+    if args.key is None:
+        raise ParseError("catalog show needs a key")
     entry = catalog_entry(args.key)
     if args.doc:
         # just the input document, ready to feed back to the other commands
@@ -238,28 +240,25 @@ def build_parser():
         description="Exact Lie algebra cohomology and dense-quotient reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    document = argparse.ArgumentParser(add_help=False)
+    document.add_argument("path")
+    document.add_argument("--json", action="store_true", help="machine-readable output")
+    report = argparse.ArgumentParser(add_help=False, parents=[document])
+    report.add_argument("--representatives", action="store_true",
+                        help="print representative cocycles")
+    report.add_argument("--max-dim", type=_max_dim_type, default=DEFAULT_MAX_DIM,
+                        help="dimension cap (default %(default)s)")
 
-    p = sub.add_parser("validate", help="parse a document and check Jacobi/ideal")
-    p.add_argument("path")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p = sub.add_parser("validate", parents=[document],
+                       help="parse a document and check Jacobi/ideal")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("cohomology", help="Betti numbers of an algebra document")
-    p.add_argument("path")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--representatives", action="store_true",
-                   help="print representative cocycles")
-    p.add_argument("--max-dim", type=_max_dim_type, default=DEFAULT_MAX_DIM,
-                   help="dimension cap (default %(default)s)")
+    p = sub.add_parser("cohomology", parents=[report],
+                       help="Betti numbers of an algebra document")
     p.set_defaults(func=cmd_cohomology)
 
-    p = sub.add_parser("quotient", help="dense-subgroup quotient cohomology")
-    p.add_argument("path")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--representatives", action="store_true",
-                   help="print representative cocycles")
-    p.add_argument("--max-dim", type=_max_dim_type, default=DEFAULT_MAX_DIM,
-                   help="dimension cap (default %(default)s)")
+    p = sub.add_parser("quotient", parents=[report],
+                       help="dense-subgroup quotient cohomology")
     p.add_argument("--no-chain-iso", action="store_true",
                    help="skip the chain-level isomorphism verification")
     p.set_defaults(func=cmd_quotient)
@@ -286,11 +285,11 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "catalog" and args.action == "show" and args.key is None:
-        return _fail("catalog show needs a key", EXIT_PARSE)
+    args = _PARSER.parse_args(argv)
     # the one table from package errors to exit codes
     as_json = getattr(args, "json", False)
     try:

@@ -131,21 +131,28 @@ def bracket(L, x, y):
     return out
 
 
+def _bracket_indices(L):
+    """The indices that occur in some bracket pair, in increasing order."""
+    return sorted({i for pair in L.brackets for i in pair})
+
+
 def jacobi_check(L):
     """All Jacobi identity violations, as (i, j, k, residual) with exact residuals.
 
     The residual of i < j < k is [[e_i, e_j], e_k] + [[e_j, e_k], e_i] +
     [[e_k, e_i], e_j] as a coordinate vector, expanded over the sparse
     bracket table.  An empty list means the table defines a Lie algebra.
-    Only triples with a nonzero bracket among their pairs are visited, in
-    lex order: every other residual is zero term by term.
+    Only triples made of a bracket pair and an index k that occurs in some
+    bracket pair are visited, in lex order: each term of any other residual
+    takes a bracket of two basis vectors that is zero.
     """
     table = {}
     for (i, j), terms in L.brackets.items():
         table[(i, j)] = terms
         table[(j, i)] = {k: -c for k, c in terms.items()}
+    indices = _bracket_indices(L)
     triples = {tuple(sorted((i, j, k))) for i, j in L.brackets
-               for k in range(1, L.dim + 1) if k != i and k != j}
+               for k in indices if k != i and k != j}
     violations = []
     for i, j, k in sorted(triples):
         residual = {}
@@ -239,7 +246,8 @@ def ideal_check(L, h):
     Brackets are taken in the order i = 1..n, then w along the basis of h,
     and built one at a time against an echelon of h's basis: the witness
     is the first bracket that inserts into it, that is, the first one
-    outside h.
+    outside h.  Only the i of some bracket pair are tried, since
+    [e_i, w] = 0 for every other i.
     """
     if h.ambient_dim != L.dim:
         raise DimensionMismatch(
@@ -251,7 +259,7 @@ def ideal_check(L, h):
     echelon = []
     for w in h.basis:
         _echelon_insert(echelon, _sparse_row(w))
-    for i in range(1, L.dim + 1):
+    for i in _bracket_indices(L):
         for w in h.basis:
             result = bracket(L, L.basis_vector(i), w)
             if _echelon_insert(echelon, _sparse_row(result)) is not None:

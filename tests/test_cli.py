@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -385,6 +386,47 @@ def test_bad_numeric_options_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert argv[1] in captured.err
+
+
+# --help, an unknown option and no arguments, at the top level and for
+# each subcommand; cli_surface.json holds their stdout, stderr and exit
+# code as printed at 80 columns by the Python version it names
+CLI_SURFACE = json.loads((Path(__file__).parent / "cli_surface.json").read_text(encoding="utf-8"))
+SURFACE_ARGV = [prefix + tail
+                for prefix in [[], ["validate"], ["cohomology"], ["quotient"],
+                               ["catalog"], ["selftest"]]
+                for tail in (["--help"], ["--bogus-option"], [])]
+
+
+def test_usage_surface_matches_its_recording(monkeypatch, capsys):
+    assert [r["argv"] for r in CLI_SURFACE["invocations"]] == SURFACE_ARGV
+    if CLI_SURFACE["python"] != "%d.%d" % sys.version_info[:2]:
+        pytest.skip("argparse lays out help differently in other Python versions")
+    monkeypatch.setenv("COLUMNS", "80")
+    for record in CLI_SURFACE["invocations"]:
+        try:
+            code = main(record["argv"])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == (
+            record["stdout"], record["stderr"], record["code"]), record["argv"]
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    # the parser is built once, at import; calls only parse
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["catalog", "list"]) == 0
+    assert main(["catalog", "list", "--json"]) == 0
+    capsys.readouterr()
+    assert built == []
 
 
 def test_exact_commands_do_not_load_numpy(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,6 +15,7 @@ from liecohom.errors import (
     NotAnIdeal,
     ParseError,
 )
+from liecohom import lie_core
 from liecohom.field_arith import Field, Matrix, QQ
 from liecohom.lie_core import (
     LieAlgebra,
@@ -259,6 +261,34 @@ def test_ideal_check_matches_bruteforce_witness():
         seen["late"] += first.index(witness[:2]) >= 3
         seen["q_a"] += not L.field.is_rationals
     assert all(seen.values()), seen
+
+
+def test_jacobi_check_cost_follows_the_brackets_not_the_dimension():
+    # one bracket in dimension 10^5: only the three bracket indices can
+    # complete a triple with a nonzero residual
+    L = LieAlgebra("one_bracket", 10**5, QQ, {(1, 2): {3: 1}})
+    tracemalloc.start()
+    try:
+        assert jacobi_check(L) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_ideal_check_brackets_only_indices_of_bracket_pairs(monkeypatch):
+    n = 2000
+    L = LieAlgebra("one_bracket", n, QQ, {(1, 2): {3: 1}})
+    h = Subspace(n, [[1 if r == 3 else 0 for r in range(1, n + 1)]], QQ)
+    calls = []
+
+    def counting_bracket(*args):
+        calls.append(args)
+        return bracket(*args)
+
+    monkeypatch.setattr(lie_core, "bracket", counting_bracket)
+    assert ideal_check(L, h) is None
+    assert len(calls) == 2
 
 
 def test_quotient_heisenberg_by_center():
