@@ -15,10 +15,11 @@ from math import comb
 
 from .ce_complex import DEFAULT_MAX_DIM
 from .errors import ParseError
+from .field_arith import _int_of_digits, format_scalar
 from .lie_core import algebra_from_json
 from .quotient_pipeline import pipeline_input_from_json
 
-_ABELIAN_RE = re.compile(r"abelian_(\d+)\Z")
+_ABELIAN_RE = re.compile(r"abelian_(\d+)\Z", re.ASCII)
 
 
 class CatalogEntry:
@@ -183,9 +184,10 @@ def catalog_entry(key):
     """Resolve a catalog key to a CatalogEntry; unknown keys raise ParseError."""
     m = _ABELIAN_RE.match("abelian_3" if key == "abelian_n" else key)
     if m:
-        n = int(m.group(1))
+        n = _int_of_digits(m.group(1))
         if n > DEFAULT_MAX_DIM:
-            raise ParseError("abelian dimension %d exceeds cap %d" % (n, DEFAULT_MAX_DIM))
+            raise ParseError("abelian dimension %s exceeds cap %d"
+                             % (format_scalar(n), DEFAULT_MAX_DIM))
         doc = _abelian_doc(n)
         return CatalogEntry("abelian_%d" % n, algebra_from_json(doc), None,
                             [comb(n, k) for k in range(n + 1)], _ENTRIES["abelian_n"][3], doc)

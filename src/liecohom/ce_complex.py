@@ -55,6 +55,7 @@ from .field_arith import (
     Matrix,
     RationalFunction,
     _bareiss,
+    _echelon,
     _echelon_insert,
     _integer_row,
     _rank_and_kernel,
@@ -588,6 +589,19 @@ class CohomologyReport:
         return "CohomologyReport(%r, betti=%r)" % (self.algebra, self.betti)
 
 
+def _admit(L, max_dim):
+    """Refuse L before any work on its complex: DimensionCapExceeded past
+    the cap, then JacobiViolation with every violating triple."""
+    if L.dim > max_dim:
+        raise DimensionCapExceeded(
+            "dimension %d exceeds cap %d (the complex has 2^n basis forms)"
+            % (L.dim, max_dim)
+        )
+    violations = jacobi_check(L)
+    if violations:
+        raise JacobiViolation(violations)
+
+
 def cohomology(L, max_dim=DEFAULT_MAX_DIM):
     """Full cohomology of the algebra: Betti numbers, ranks, representatives.
 
@@ -600,15 +614,8 @@ def cohomology(L, max_dim=DEFAULT_MAX_DIM):
     inserted as the image echelon of degree k+1.  Rows, kernel vectors and
     representatives are engine rows keyed by index tuple; no matrix is formed.
     """
+    _admit(L, max_dim)
     n = L.dim
-    if n > max_dim:
-        raise DimensionCapExceeded(
-            "dimension %d exceeds cap %d (the complex has 2^n basis forms)"
-            % (n, max_dim)
-        )
-    violations = jacobi_check(L)
-    if violations:
-        raise JacobiViolation(violations)
     field = L.field
     dt = _one_form_differentials(L)
     betti, ranks, representatives = [], [], []
@@ -629,9 +636,7 @@ def cohomology(L, max_dim=DEFAULT_MAX_DIM):
                 "degree %d: kernel dimension and rank disagree" % k
             )
 
-        echelon = []
-        for column in image:
-            _echelon_insert(echelon, column)
+        echelon = _echelon(image)
         reps = []
         for vec in kernel:
             row = _echelon_insert(echelon, vec)

@@ -42,6 +42,18 @@ def _fail(message, code):
     return code
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a key that it repeats."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError("repeated key %r" % (key,))
+            seen.add(key)
+    return obj
+
+
 def _load_document(path):
     """Read a JSON file holding either an algebra or a pipeline input.
 
@@ -49,10 +61,12 @@ def _load_document(path):
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # malformed JSON, a repeated key, text that is not UTF-8, or an
+        # integer longer than int() reads (sys.get_int_max_str_digits())
         raise ParseError("invalid JSON in %s: %s" % (path, exc)) from exc
     except RecursionError as exc:
         raise ParseError("JSON in %s is nested too deeply" % path) from exc

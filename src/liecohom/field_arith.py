@@ -15,7 +15,8 @@ a dict {key: nonzero scalar} whose lead is min(row), so a step touches
 only the entries that are there.  Keys are int positions for Matrix and
 dense-vector callers, converted at the boundary, and index tuples for
 forms, where the coeffs dict of an ExteriorForm already is a row.
-_echelon_insert, with _reduce_against, answers every independence and
+Only _echelon makes an echelon, which other modules hand only to
+_echelon_insert and _reduce_against; these answer every independence and
 membership question one row at a time, and rank; _rref, the full reduced
 form, is insertion of every row plus back-reduction, and _rank_and_kernel
 returns its pivots and a sparse kernel read off it.  rank, rank_and_kernel
@@ -38,6 +39,7 @@ Fraction(3, 4)
 """
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -183,10 +185,10 @@ def _poly_str(p, var):
             continue
         mag = -c if c < 0 else c
         if e == 0:
-            body = str(mag)
+            body = _rational_text(mag)
         else:
             stem = var if e == 1 else "%s^%d" % (var, e)
-            body = stem if mag == 1 else "%s*%s" % (mag, stem)
+            body = stem if mag == 1 else "%s*%s" % (_rational_text(mag), stem)
         if not parts:
             parts.append("-" + body if c < 0 else body)
         else:
@@ -508,17 +510,38 @@ def format_scalar(value):
     if isinstance(value, int):
         value = Fraction(value)
     if isinstance(value, Fraction):
-        return str(value)
+        return _rational_text(value)
     if isinstance(value, RationalFunction):
         return str(value)
     raise TypeError("not a scalar: %r" % (value,))
+
+
+# str() and int() refuse integers of more than sys.get_int_max_str_digits()
+# digits; decimal converts exactly at any length, so it takes over past that.
+
+def _rational_text(x):
+    """str(x) of an int or Fraction, at any length."""
+    try:
+        return str(x)
+    except ValueError:
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else "%s/%s" % (num, Decimal(x.denominator))
+
+
+def _int_of_digits(digits):
+    """The int that a string of ASCII digits spells, at any length."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
 
 
 # ---------------------------------------------------------------------------
 # scalar text parser (recursive descent)
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))",
+    re.ASCII,
 )
 
 _MAX_EXPONENT = 1000
@@ -533,13 +556,13 @@ class _Tokens:
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
             if m is None:
-                if text[pos:].strip():
+                if text[pos:].strip(" \t\n\r\f\v"):
                     raise ParseError(
                         "unexpected character %r in scalar %r" % (text[pos], text)
                     )
                 break
             if m.group("int") is not None:
-                self.items.append(("int", int(m.group("int"))))
+                self.items.append(("int", _int_of_digits(m.group("int"))))
             elif m.group("name") is not None:
                 self.items.append(("name", m.group("name")))
             else:
@@ -634,7 +657,8 @@ def _parse_power(toks, field):
             raise ParseError("exponent must be a nonnegative integer literal")
         chain *= val
         if chain > _MAX_EXPONENT:
-            raise ParseError("exponent %d too large (nested exponents multiply)" % chain)
+            raise ParseError("exponent %s too large (nested exponents multiply)"
+                             % _rational_text(chain))
         _check_degree(base, "^", val)
         base = base**val
     toks.chain = max(outer, chain)
@@ -819,13 +843,19 @@ def _echelon_insert(echelon, row):
     return row
 
 
+def _echelon(rows=()):
+    """A new echelon with rows inserted in order."""
+    echelon = []
+    for row in rows:
+        _echelon_insert(echelon, row)
+    return echelon
+
+
 def _rref(rows):
     """Reduced row echelon form as (nonzero rows, pivots): every row is
     inserted into an echelon, then each echelon row, from the last, is
     reduced against the rows after it.  Mutates nothing."""
-    echelon = []
-    for row in rows:
-        _echelon_insert(echelon, row)
+    echelon = _echelon(rows)
     for i in reversed(range(len(echelon))):
         lead, row = echelon[i]
         echelon[i] = (lead, _reduce_against(echelon[i + 1:], row))
@@ -856,10 +886,7 @@ def _rank_and_kernel(rows, keys, one):
 
 def rank(m):
     """Exact rank: the number of rows an insertion echelon takes."""
-    echelon = []
-    for row in m.to_rows():
-        _echelon_insert(echelon, _sparse_row(row))
-    return len(echelon)
+    return len(_echelon(_sparse_row(row) for row in m.to_rows()))
 
 
 def rank_and_kernel(m):

@@ -16,6 +16,7 @@ from .field_arith import (
     Field,
     Matrix,
     QQ,
+    _echelon,
     _echelon_insert,
     _rref,
     _sparse_row,
@@ -185,7 +186,7 @@ class Subspace:
                     % (len(v), ambient_dim)
                 )
         basis = [[field.coerce(x) for x in v] for v in basis]
-        echelon = []
+        echelon = _echelon()
         if any(_echelon_insert(echelon, _sparse_row(v)) is None for v in basis):
             raise ValueError("subspace basis is linearly dependent")
         self.ambient_dim = ambient_dim
@@ -256,9 +257,7 @@ def ideal_check(L, h):
         )
     if h.field != L.field:
         raise MixedFields("subspace and algebra over different fields")
-    echelon = []
-    for w in h.basis:
-        _echelon_insert(echelon, _sparse_row(w))
+    echelon = _echelon(_sparse_row(w) for w in h.basis)
     for i in _bracket_indices(L):
         for w in h.basis:
             result = bracket(L, L.basis_vector(i), w)
@@ -324,7 +323,7 @@ def torus_ideal_from_directions(n, directions, field=None):
                 "direction of length %d in ambient dimension %d" % (len(v), n)
             )
     directions = [[field.coerce(x) for x in v] for v in directions]
-    echelon = []
+    echelon = _echelon()
     kept = [v for v in directions if _echelon_insert(echelon, _sparse_row(v)) is not None]
     return Subspace(n, kept, field)
 
@@ -350,10 +349,7 @@ def field_from_json(tag):
         var = tag["rational_function_in"]
         if not isinstance(var, str):
             raise ParseError("rational_function_in must be an identifier string")
-        try:
-            return Field(var)
-        except ParseError:
-            raise ParseError("invalid indeterminate name %r" % (var,))
+        return Field(var)
     raise ParseError("field must be \"Q\" or {\"rational_function_in\": name}")
 
 

@@ -20,6 +20,7 @@ from math import comb
 from .ce_complex import (
     DEFAULT_MAX_DIM,
     ExteriorForm,
+    _admit,
     _d_basis,
     _d_form,
     _horizontal_powers,
@@ -30,19 +31,16 @@ from .ce_complex import (
     wedge,
 )
 from .errors import (
-    DimensionCapExceeded,
     DimensionMismatch,
     InternalCheckFailed,
-    JacobiViolation,
     MixedFields,
     ParseError,
 )
-from .field_arith import _echelon_insert, _reduce_against, parse_scalar
+from .field_arith import _echelon, _echelon_insert, _reduce_against, parse_scalar
 from .lie_core import (
     _require_keys,
     algebra_from_json,
     algebra_to_json,
-    jacobi_check,
     quotient_algebra,
     subspace_from_json,
     subspace_to_json,
@@ -183,7 +181,7 @@ def _chain_iso_check(L, h, qd):
         if k > q:
             continue
         upper = next(pullbacks, {})
-        echelon = []
+        echelon = _echelon()
         for pb in table.values():
             if _echelon_insert(echelon, pb.coeffs) is None:
                 return (k, None, "pulled-back basis is linearly dependent")
@@ -209,14 +207,7 @@ def dense_quotient_cohomology(inp, check_chain_iso=True, max_dim=DEFAULT_MAX_DIM
     verified and recorded in the report.
     """
     L = inp.algebra
-    if L.dim > max_dim:
-        raise DimensionCapExceeded(
-            "dimension %d exceeds cap %d (the complex has 2^n basis forms)"
-            % (L.dim, max_dim)
-        )
-    violations = jacobi_check(L)
-    if violations:
-        raise JacobiViolation(violations)
+    _admit(L, max_dim)
     qd = quotient_algebra(L, inp.ideal)  # raises NotAnIdeal with a witness
     report = cohomology(qd.quotient, max_dim=max_dim)
     abelian = qd.quotient.is_abelian

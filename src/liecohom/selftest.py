@@ -32,7 +32,7 @@ from .field_arith import (
     Matrix,
     QQ,
     _bareiss,
-    _echelon_insert,
+    _echelon,
     _integer_row,
     _reduce_against,
     format_scalar,
@@ -292,9 +292,7 @@ def suite_horizontal(rng, tol, step):
             if len(hor) != comb(n - m, k):
                 raise SuiteFailure("horizontal dimension wrong for %s" % L.name)
             if k < n:
-                echelon = []
-                for g in bases[k + 1]:
-                    _echelon_insert(echelon, g.coeffs)
+                echelon = _echelon(g.coeffs for g in bases[k + 1])
                 for f in hor:
                     if _reduce_against(echelon, d_apply(L, f).coeffs):
                         raise SuiteFailure(

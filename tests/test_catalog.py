@@ -44,6 +44,12 @@ def test_unknown_key():
         catalog_entry("so4")
     with pytest.raises(ParseError):
         catalog_entry("")
+    # abelian dimensions are ASCII digits of any length
+    for key in ("abelian_\u0663", "abelian_\uff13"):
+        with pytest.raises(ParseError, match="unknown catalog key"):
+            catalog_entry(key)
+    with pytest.raises(ParseError, match="abelian dimension 9{5000} exceeds cap 20"):
+        catalog_entry("abelian_" + "9" * 5000)
 
 
 def test_torus_entries_share_expected_numbers():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,8 @@ def test_validate_parse_failures(tmp_path, capsys):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json", encoding="utf-8")
     assert main(["validate", str(garbage)]) == 3
+    garbage.write_bytes(b'{"name": "\xe9", "dimension": 1, "field": "Q", "brackets": []}')
+    assert main(["validate", str(garbage)]) == 3
     unknown_key = dict(so3_doc())
     unknown_key["extra"] = 1
     path = write_doc(tmp_path, unknown_key)
@@ -168,6 +171,52 @@ def test_validate_rejects_deeply_nested_json(tmp_path, capsys):
     path.write_text('{"name": ' + "[" * 100000 + "]" * 100000 + "}", encoding="utf-8")
     assert main(["validate", str(path)]) == 3
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_integers_of_any_length_end_without_a_traceback(tmp_path, capsys):
+    # a JSON integer past int()'s 4300-digit limit is a parse error; a
+    # scalar literal or a computed residual past it is read and printed exactly
+    long_dim = tmp_path / "long_dim.json"
+    long_dim.write_text('{"name": "x", "dimension": %s, "field": "Q", "brackets": []}'
+                        % ("1" * 5000), encoding="utf-8")
+    assert main(["validate", str(long_dim)]) == 3
+    assert "invalid JSON" in capsys.readouterr().err
+    long_coeff = abelian_doc(3)
+    long_coeff["brackets"] = [{"i": 1, "j": 2, "terms": [{"k": 3, "coeff": "1" * 5000}]}]
+    assert main(["validate", write_doc(tmp_path, long_coeff)]) == 0
+    assert "jacobi: ok" in capsys.readouterr().out
+    c = 2**15000
+    residual = abelian_doc(3)
+    residual["brackets"] = [
+        {"i": 1, "j": 2, "terms": [{"k": 3, "coeff": "*".join(["2^1000"] * 15)}]},
+        {"i": 1, "j": 3, "terms": [{"k": 1, "coeff": "1"}]},
+        {"i": 2, "j": 3, "terms": [{"k": 3, "coeff": "1"}]},
+    ]
+    path = write_doc(tmp_path, residual)
+    digits = str(Decimal(-c))
+    assert len(digits) == 4517
+    assert main(["validate", path]) == 1
+    out, err = capsys.readouterr()
+    assert "triple (1, 2, 3): residual (-1, 0, %s)" % digits in out
+    assert err == ""
+    assert main(["validate", "--json", path]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["violations"][0]["residual"] == ["-1", "0", digits]
+    assert err == ""
+
+
+def test_validate_rejects_a_repeated_key(tmp_path, capsys):
+    top = tmp_path / "top.json"
+    top.write_text('{"name": "x", "name": "y", "dimension": 2, "dimension": 3, '
+                   '"field": "Q", "brackets": []}', encoding="utf-8")
+    assert main(["validate", str(top)]) == 3
+    assert "repeated key 'name'" in capsys.readouterr().err
+    term = tmp_path / "term.json"
+    term.write_text('{"name": "x", "dimension": 2, "field": "Q", "brackets": '
+                    '[{"i": 1, "j": 2, "terms": [{"k": 1, "coeff": "1", "k": 2}]}]}',
+                    encoding="utf-8")
+    assert main(["validate", str(term)]) == 3
+    assert "repeated key 'k'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,28 @@ def test_format_parse_round_trip_random():
         assert parse_scalar(format_scalar(x), FA) == x
 
 
+def test_scalars_of_any_length_round_trip():
+    # str() and int() refuse more than 4300 digits by default; the text of
+    # a scalar has no such limit
+    big = 10**9999 + 7
+    q = Fraction(-big, 3 * big + 2)
+    assert len(format_scalar(q)) > 20000
+    assert parse_scalar(format_scalar(q), QQ) == q
+    x = (big * A**2 - A + Fraction(1, big)) / (A + big)
+    text = format_scalar(x)
+    assert len(text) > 30000
+    assert parse_scalar(text, FA) == x
+    assert parse_scalar("1" * 5000, QQ) == (10**5000 - 1) // 9
+    with pytest.raises(ParseError, match="exponent 9{5000} too large"):
+        parse_scalar("2^" + "9" * 5000, QQ)
+
+
+def test_parse_takes_ascii_digits_and_spaces_only():
+    for text in ("\u0663", "\uff13/\uff14", "1\u0660", "\u00a03", "3\u00a0", "3\u2003+1"):
+        with pytest.raises(ParseError):
+            parse_scalar(text, QQ)
+
+
 def test_rank_and_kernel_examples():
     m = Matrix.from_rows(QQ, [[1, 0], [0, 1]])
     assert rank_and_kernel(m) == (2, [])

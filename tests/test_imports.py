@@ -1,10 +1,13 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
-and every docstring example in the package runs."""
+and every docstring example in the package runs.  Two decisions have one
+owner each: only field_arith builds or looks inside an echelon, and one
+function raises DimensionCapExceeded."""
 
 import ast
 import doctest
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import liecohom
@@ -95,3 +98,101 @@ def test_docstring_examples_run():
         attempted += result.attempted
     assert failed == 0
     assert attempted >= 1
+
+
+ECHELON_READERS = {"_echelon_insert", "_reduce_against"}
+
+
+def _calls(node, names):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in names)
+
+
+def echelon_misuses(source):
+    """Functions that build or read an echelon by hand: a call of
+    _echelon_insert or _reduce_against whose first argument is not a name
+    bound in that function only by a call of _echelon, or a use of such a
+    name anywhere but there."""
+    tree = ast.parse(source)
+    misuses = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        bound, by_echelon = Counter(), Counter()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound[node.id] += 1
+            elif isinstance(node, ast.arg):
+                bound[node.arg] += 1
+            elif isinstance(node, ast.Assign) and _calls(node.value, {"_echelon"}):
+                by_echelon.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        echelons = {name for name, count in by_echelon.items() if bound[name] == count}
+        handed_back = set()
+        for node in ast.walk(func):
+            if _calls(node, ECHELON_READERS):
+                first = node.args[0] if node.args else None
+                if isinstance(first, ast.Name) and first.id in echelons:
+                    handed_back.add(id(first))
+                else:
+                    misuses.add(func.name)
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id in echelons and id(node) not in handed_back):
+                misuses.add(func.name)
+    return misuses
+
+
+def test_only_field_arith_builds_or_reads_an_echelon():
+    misuses = []
+    for path in MODULES:
+        if path.name != "field_arith.py":
+            misuses += ["%s:%s" % (path.name, name) for name in
+                        sorted(echelon_misuses(path.read_text(encoding="utf-8")))]
+    assert misuses == []
+
+
+def test_detects_an_echelon_built_or_read_by_hand():
+    source = (
+        "def listed(rows):\n    e = []\n    for r in rows:\n        _echelon_insert(e, r)\n\n"
+        "def measured(rows):\n    e = _echelon(rows)\n    return len(e)\n\n"
+        "def rebound(rows, r):\n    e = _echelon(rows)\n    e = list(e)\n"
+        "    return _reduce_against(e, r)\n\n"
+        "def passed_in(e, r):\n    return _reduce_against(e, r)\n\n"
+        "def owned(rows, r):\n    e = _echelon()\n    _echelon_insert(e, r)\n"
+        "    return _reduce_against(e, r)\n")
+    assert sorted(echelon_misuses(source)) == ["listed", "measured", "passed_in", "rebound"]
+
+
+def raising_functions(source, error):
+    """Names of the functions with a raise of error in their own body."""
+    found = set()
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == error:
+                found.add(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_function_refuses_an_algebra_past_the_cap():
+    raisers = []
+    for path in MODULES + [Path(liecohom.__file__)]:
+        raisers += ["%s:%s" % (path.name, name) for name in
+                    sorted(raising_functions(path.read_text(encoding="utf-8"),
+                                             "DimensionCapExceeded"), key=str)]
+    assert raisers == ["ce_complex.py:_admit"]
+
+
+def test_detects_a_second_raiser():
+    source = ("def a(n):\n    raise E('x')\n\n"
+              "class C:\n    def b(self):\n        if self:\n            raise E\n"
+              "        raise F('y')\n\n"
+              "def c():\n    raise F\n")
+    assert raising_functions(source, "E") == {"a", "b"}
