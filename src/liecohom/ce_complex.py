@@ -13,10 +13,10 @@ exterior derivative.  In degree 0 the sum is empty, so d vanishes on
 constants.
 
 evaluate computes that sum by definition, one determinant per basis tuple,
-but nothing on the cohomology path evaluates it.  It clears the
-denominators of its arguments and coefficients once, so every minor is a
-determinant over Z or Q[a], taken by field_arith's one fraction-free
-kernel, and one scalar is built per call.  shuffle_eval
+but nothing on the cohomology path evaluates it.  It never looks inside
+a scalar: field_arith._cleared clears the arguments and coefficients once,
+and field_arith._minor_sum sums the minors over Z or Q[a] into one scalar
+per call, so evaluate only picks each minor's rows.  shuffle_eval
 evaluates alpha ^ beta as a sum over pairs of arguments without forming
 the product; it prepares its arguments and both forms' coefficients once
 per call, not once per term, with the same helpers evaluate uses.
@@ -36,7 +36,6 @@ Matrix for outside callers, and form_from_vector, which checks its data,
 is for them too.
 """
 
-from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
 from numbers import Integral
@@ -51,17 +50,14 @@ from .errors import (
     MixedFields,
 )
 from .field_arith import (
-    _POLY_ONE,
     Matrix,
-    RationalFunction,
-    _bareiss,
+    _cleared,
     _echelon,
     _echelon_insert,
-    _integer_row,
+    _minor_sum,
     _rank_and_kernel,
     _sparse_row,
     format_scalar,
-    poly_gcd,
 )
 from .lie_core import jacobi_check
 
@@ -229,17 +225,6 @@ def form_from_vector(field, n, degree, vec):
     return ExteriorForm(n, degree, field, dict(zip(tuples, vec)))
 
 
-def _cleared(field, values):
-    """values as (entries, den) with values = entries / den, the entries
-    in Z or Q[a] and den the lcm of the values' denominators."""
-    if field.is_rationals:
-        return _integer_row(values)
-    den = _POLY_ONE
-    for x in values:
-        den = den * (x.den // poly_gcd(den, x.den))
-    return [x.num * (den // x.den) for x in values], den
-
-
 def _prepared_args(field, ambient, args):
     """Argument vectors coerced into the field, checked for length, and
     each cleared of its denominators (_cleared)."""
@@ -252,19 +237,13 @@ def _prepared_args(field, ambient, args):
 def _evaluate_cleared(form, coeffs, args):
     """form on prepared argument vectors (_prepared_args), given its
     coefficients as _cleared(form.field, form.coeffs.values())."""
-    field = form.field
     entries, den = coeffs
     for _, arg_den in args:
         den *= arg_den
     # coordinate rows: coords[a - 1] holds coordinate a of every argument
     coords = list(zip(*(column for column, _ in args)))
-    one = 1 if field.is_rationals else _POLY_ONE
-    total = one * 0
-    for idx, c in zip(form.coeffs, entries):
-        total = total + c * _bareiss([coords[a - 1] for a in idx], one)[1]
-    if field.is_rationals:
-        return Fraction(total, den)
-    return RationalFunction(field.var, total, den)
+    return _minor_sum(form.field, [(c, [coords[a - 1] for a in idx])
+                                   for idx, c in zip(form.coeffs, entries)], den)
 
 
 def evaluate(form, args):
@@ -273,9 +252,9 @@ def evaluate(form, args):
     A basis form t[I] evaluated on (Z_1, ..., Z_k) is the determinant of
     the k x k matrix with entry (r, c) = coordinate I_r of Z_c; general
     forms follow by linearity.  The denominators are cleared once, one lcm
-    per argument vector and one over the coefficients, so each minor is a
-    determinant over Z or Q[a], taken by the fraction-free kernel _bareiss,
-    and a single scalar is built at the end.
+    per argument vector and one over the coefficients (_cleared), so each
+    minor is a determinant over Z or Q[a], and _minor_sum builds a single
+    scalar at the end.
     """
     if len(args) != form.degree:
         raise ArityMismatch(
@@ -615,6 +594,12 @@ def cohomology(L, max_dim=DEFAULT_MAX_DIM):
     representatives are engine rows keyed by index tuple; no matrix is formed.
     """
     _admit(L, max_dim)
+    return _cohomology(L)
+
+
+def _cohomology(L):
+    """cohomology of L, which the caller has admitted (_admit) or built
+    from an admitted algebra, like a quotient of one."""
     n = L.dim
     field = L.field
     dt = _one_form_differentials(L)

@@ -227,25 +227,40 @@ def cmd_selftest(args):
     return EXIT_OK if ok else EXIT_SELFTEST
 
 
+_INT_TEXT = (frozenset("0123456789"), "the ASCII digits 0-9")
+_FLOAT_TEXT = (frozenset("0123456789.eE+-"), "the ASCII digits 0-9 and . e E + -")
+
+
+def _ascii(text, spelling, value):
+    """value, read from text by int() or float(), unless text has a
+    character outside spelling's: both also read other scripts' digits,
+    surrounding whitespace and underscores.  Called after every other
+    check, so a text refused for another reason keeps that message."""
+    chars, what = spelling
+    if not set(text) <= chars:
+        raise argparse.ArgumentTypeError("%r: write it with %s only" % (text, what))
+    return value
+
+
 def _seed_type(text):
     value = int(text)
     if not (0 <= value < 2**64):
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return value
+    return _ascii(text, _INT_TEXT, value)
 
 
 def _max_dim_type(text):
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("dimension cap must be nonnegative")
-    return value
+    return _ascii(text, _INT_TEXT, value)
 
 
 def _positive_float_type(text):
     value = float(text)
     if not (0 < value < math.inf):
         raise argparse.ArgumentTypeError("must be positive and finite")
-    return value
+    return _ascii(text, _FLOAT_TEXT, value)
 
 
 def build_parser():

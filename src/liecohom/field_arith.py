@@ -22,9 +22,11 @@ form, is insertion of every row plus back-reduction, and _rank_and_kernel
 returns its pivots and a sparse kernel read off it.  rank, rank_and_kernel
 and solve_in_span take and return dense data.  The reduced row echelon
 form is unique, and so is each row of an insertion echelon, so these
-answers are those of any exact elimination.  One fraction-free kernel,
-_bareiss, takes rank and determinant over Z and Q[a]: every minor evaluate
-takes, once its denominators are cleared, and the selftest's rank oracle.
+answers are those of any exact elimination.  No other module looks
+inside a scalar: _cleared writes scalars over their least common
+denominator, in Z or Q[a], for evaluate and the selftest's rank oracle,
+and _minor_sum sums evaluate's minors there, each taken by the one
+fraction-free kernel _bareiss (rank and determinant over Z and Q[a]).
 
 Scalar text syntax, used by every file format, is ordinary arithmetic
 notation over integers and at most one indeterminate.  Whitespace is
@@ -930,11 +932,16 @@ def solve_in_span(basis, target):
     return coeffs
 
 
-def _integer_row(values):
-    """(integers, den): the rationals in values times den, the lcm of their
-    denominators, so that values = integers / den."""
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
+def _cleared(field, values):
+    """(entries, den) with values = entries / den, the entries in Z or Q[a]
+    and den their least common denominator: an int, or a monic Poly over Q(a)."""
+    if field.is_rationals:
+        den = lcm(*(x.denominator for x in values))
+        return [x.numerator * (den // x.denominator) for x in values], den
+    den = _POLY_ONE
+    for x in values:
+        den = den * (x.den // poly_gcd(den, x.den))
+    return [x.num * (den // x.den) for x in values], den
 
 
 def _bareiss(rows, one=1):
@@ -995,3 +1002,16 @@ def _bareiss(rows, one=1):
     if r == nrows == ncols:
         return r, sign * prev
     return r, one * 0
+
+
+def _minor_sum(field, terms, den):
+    """The sum of c * det(rows) over the (c, rows) pairs in terms, over den,
+    as one scalar of field; c, den and the rows' entries lie in Z or Q[a],
+    as _cleared leaves them, and each det is one _bareiss call."""
+    one = 1 if field.is_rationals else _POLY_ONE
+    total = one * 0
+    for c, rows in terms:
+        total = total + c * _bareiss(rows, one)[1]
+    if field.is_rationals:
+        return Fraction(total, den)
+    return RationalFunction(field.var, total, den)

@@ -21,13 +21,13 @@ from .ce_complex import (
     DEFAULT_MAX_DIM,
     ExteriorForm,
     _admit,
+    _cohomology,
     _d_basis,
     _d_form,
     _horizontal_powers,
     _one_form_differentials,
     _wedge_powers,
     basis_form,
-    cohomology,
     wedge,
 )
 from .errors import (
@@ -208,8 +208,10 @@ def dense_quotient_cohomology(inp, check_chain_iso=True, max_dim=DEFAULT_MAX_DIM
     """
     L = inp.algebra
     _admit(L, max_dim)
-    qd = quotient_algebra(L, inp.ideal)  # raises NotAnIdeal with a witness
-    report = cohomology(qd.quotient, max_dim=max_dim)
+    # quotient_algebra raises NotAnIdeal with a witness and checks g/h's
+    # Jacobi identity; g/h is no larger than g, so it needs no second _admit
+    qd = quotient_algebra(L, inp.ideal)
+    report = _cohomology(qd.quotient)
     abelian = qd.quotient.is_abelian
     if abelian:
         q = qd.quotient.dim

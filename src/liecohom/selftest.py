@@ -32,8 +32,8 @@ from .field_arith import (
     Matrix,
     QQ,
     _bareiss,
+    _cleared,
     _echelon,
-    _integer_row,
     _reduce_against,
     format_scalar,
     parse_scalar,
@@ -121,7 +121,7 @@ def suite_linear_algebra(rng, tol, step):
         cols = rng.randint(0, 5)
         m = _random_matrix(rng, QQ, rows, cols)
         r, kernel = rank_and_kernel(m)
-        if r != _bareiss([_integer_row(row)[0] for row in m.to_rows()])[0]:
+        if r != _bareiss([_cleared(QQ, row)[0] for row in m.to_rows()])[0]:
             raise SuiteFailure("echelon rank and fraction-free rank disagree")
         if r != rank(Matrix.from_rows(QQ, [m.col(j) for j in range(m.cols)], cols=m.rows)):
             raise SuiteFailure("rank differs from rank of the transpose")

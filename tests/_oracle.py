@@ -201,6 +201,12 @@ def poly_euclid(p, q):
     return p
 
 
+def poly_lcm(p, q):
+    """The monic lcm of two nonzero polynomials: p * q over their gcd."""
+    m = poly_divmod(poly_mul(p, q), poly_euclid(p, q))[0]
+    return [c / m[-1] for c in m]
+
+
 def reduce_fraction(num, den):
     """Canonical (num, den): coprime, den monic, zero as ([], [1])."""
     num, den = _trim(num), _trim(den)

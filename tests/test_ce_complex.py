@@ -193,14 +193,14 @@ def test_evaluate_dense_forms_matches_oracle_in_every_degree(field, monkeypatch)
     # every minor is cleared of denominators: integers over Q, polynomials
     # over Q(a), so the kernel never sees a field scalar
     ring = int if field is QQ else field_arith.Poly
-    real, minors = ce_complex._bareiss, []
+    real, minors = field_arith._bareiss, []
 
     def cleared_only(rows, one=1):
         assert all(type(x) is ring for row in rows for x in row)
         minors.append(len(rows))
         return real(rows, one)
 
-    monkeypatch.setattr(ce_complex, "_bareiss", cleared_only)
+    monkeypatch.setattr(field_arith, "_bareiss", cleared_only)
     assert evaluate(zero_form(field, 3, 2), [[1, 2, 3], [4, 5, 6]]) == 0
     rng = random.Random(41 if field is QQ else 42)
     for n in range(7):

@@ -426,6 +426,16 @@ def test_argparse_usage_errors_exit_2():
     ["selftest", "--tol", "nan"],
     ["selftest", "--tol", "0"],
     ["selftest", "--tol", "inf"],
+    # int() and float() read these too: other scripts' digits, surrounding
+    # whitespace and underscores
+    ["cohomology", "--max-dim", "\u0663", "doc.json"],
+    ["quotient", "--max-dim", " 3", "doc.json"],
+    ["selftest", "--seed", "\u0661"],
+    ["selftest", "--seed", "1_0"],
+    ["selftest", "--seed", "+5"],
+    ["selftest", "--tol", "\u0663"],
+    ["selftest", "--step", "\u0663"],
+    ["selftest", "--step", "1_0e-4"],
 ])
 def test_bad_numeric_options_are_usage_errors(argv, capsys):
     # rejected while parsing, before any document is read or suite is run

@@ -1,7 +1,7 @@
 import builtins
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -364,7 +364,7 @@ def _fraction_free(field, rows, ncols):
     cleared = []
     for row in rows:
         values = _dense(row, ncols, field)
-        cleared.append(ce_complex._cleared(field, values)[0])
+        cleared.append(field_arith._cleared(field, values)[0])
     return cleared
 
 
@@ -467,7 +467,7 @@ def _bareiss_cleared(field, rows):
     product of the row denominators."""
     cleared, scale = [], 1 if field is QQ else _POLY_ONE
     for row in rows:
-        entries, den = ce_complex._cleared(field, row)
+        entries, den = field_arith._cleared(field, row)
         cleared.append(entries)
         scale = scale * den
     before = [list(r) for r in cleared]
@@ -538,6 +538,55 @@ def test_bareiss_refuses_an_inexact_division(one, monkeypatch):
                         raising=False)
     with pytest.raises(InternalCheckFailed, match="Bareiss divisibility violated"):
         field_arith._bareiss(rows, one)
+
+
+@pytest.mark.parametrize("field", [QQ, FA], ids=["Q", "Q(a)"])
+def test_cleared_puts_values_over_their_least_common_denominator(field):
+    # denominators drawn from a few factors, so values share some of them;
+    # every list holds a zero now and then, and some lists are empty
+    rng = random.Random(61 if field is QQ else 62)
+    if field is QQ:
+        factors = [2, 3, 5]
+    else:
+        factors = [A, A + 1, A - 2, A * A + 1, 2 * A + 3]
+    sizes, zeros = set(), 0
+    for _ in range(300 if field is QQ else 100):
+        values = []
+        for _ in range(rng.randint(0, 5)):
+            num = field.coerce(rng.randint(-6, 6))
+            if field is FA and rng.random() < 0.5:
+                num = num + rng.randint(-3, 3) * A * A
+            den = field.one
+            for f in rng.sample(factors, rng.randint(0, 3)):
+                den = den * f
+            values.append(num / den)
+        sizes.add(len(values))
+        zeros += sum(not x for x in values)
+        entries, den = field_arith._cleared(field, values)
+        assert len(entries) == len(values)
+        if field is QQ:
+            assert type(den) is int and all(type(e) is int for e in entries)
+            assert den == lcm(*(x.denominator for x in values))
+            assert all(Fraction(e, den) == x for e, x in zip(entries, values))
+        else:
+            assert type(den) is Poly and all(type(e) is Poly for e in entries)
+            expected = [Fraction(1)]
+            for x in values:
+                expected = _oracle.poly_lcm(expected, list(x.den.coeffs))
+            assert list(den.coeffs) == expected and den.leading == 1
+            assert all(e * x.den == x.num * den for e, x in zip(entries, values))
+    assert sizes == set(range(6)) and zeros
+
+
+@pytest.mark.parametrize("field", [QQ, FA], ids=["Q", "Q(a)"])
+def test_minor_sum_of_one_term_is_the_product(field):
+    pairs = [(3, -4), (0, 5), (-2, 7)]
+    if field is FA:
+        pairs = [(Poly((c, c)), Poly((1, 0, x))) for c, x in pairs]
+    for c, x in pairs:
+        value = field_arith._minor_sum(field, [(c, [[x]])], 1 if field is QQ else _POLY_ONE)
+        assert field_arith.field_of(value) == field
+        assert value == _in_field(field, c * x)
 
 
 def test_solve_in_span_dependent_basis():

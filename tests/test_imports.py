@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
-and every docstring example in the package runs.  Two decisions have one
-owner each: only field_arith builds or looks inside an echelon, and one
-function raises DimensionCapExceeded."""
+and every docstring example in the package runs.  Three decisions have one
+owner each: only field_arith builds or looks inside an echelon, only
+field_arith knows how a scalar is stored, and one function raises
+DimensionCapExceeded."""
 
 import ast
 import doctest
@@ -161,6 +162,48 @@ def test_detects_an_echelon_built_or_read_by_hand():
         "def owned(rows, r):\n    e = _echelon()\n    _echelon_insert(e, r)\n"
         "    return _reduce_against(e, r)\n")
     assert sorted(echelon_misuses(source)) == ["listed", "measured", "passed_in", "rebound"]
+
+
+SCALAR_INSIDES = {"Poly", "RationalFunction", "_POLY_ONE", "poly_gcd"}
+SCALAR_PARTS = {"num", "den", "numerator", "denominator"}
+
+
+def scalar_insides(source):
+    """(line, name) of every import or use of field_arith's polynomial and
+    rational-function names, and of every read of a numerator or
+    denominator attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in SCALAR_INSIDES:
+            found.add((node.lineno, node.id))
+        elif isinstance(node, ast.alias) and node.name in SCALAR_INSIDES:
+            found.add((node.lineno, node.name))
+        elif isinstance(node, ast.Attribute) and node.attr in SCALAR_INSIDES | SCALAR_PARTS:
+            found.add((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_only_field_arith_looks_inside_a_scalar():
+    # field_arith clears denominators and sums the minors of evaluation;
+    # __init__, which re-exports RationalFunction, is not among MODULES
+    uses = []
+    for path in MODULES:
+        if path.name != "field_arith.py":
+            uses += ["%s:%d %s" % (path.name, line, name) for line, name in
+                     scalar_insides(path.read_text(encoding="utf-8"))]
+    assert uses == []
+
+
+def test_detects_a_look_inside_a_scalar():
+    source = ("from .field_arith import Poly as P, format_scalar\n"
+              "import fractions\n"
+              "def f(x, fa):\n"
+              "    return x.numerator, x.den, fa.poly_gcd, format_scalar(x)\n"
+              "def g(x):\n"
+              "    return x.denominators, x.numer, _POLY_ONE * RationalFunction\n")
+    assert scalar_insides(source) == [(1, "Poly"), (4, "den"), (4, "numerator"),
+                                      (4, "poly_gcd"), (6, "RationalFunction"),
+                                      (6, "_POLY_ONE")]
 
 
 def raising_functions(source, error):

@@ -16,6 +16,7 @@ from liecohom.ce_complex import (
     horizontal_basis,
     index_tuples,
 )
+from liecohom.catalog import catalog_entry
 from liecohom.cli import main
 from liecohom.errors import (
     DimensionCapExceeded,
@@ -394,6 +395,23 @@ def test_report_json():
     assert doc["chain_iso_verified"] is True
     assert doc["note"] == "central circle dense"
     assert doc["report"]["betti"] == [1, 2, 1]
+
+
+def test_pipeline_checks_each_jacobi_identity_once(monkeypatch):
+    # g is checked when it is admitted and g/h when quotient_algebra builds
+    # it; the quotient's cohomology admits nothing a second time
+    entry = catalog_entry("torus2_alpha")
+    checked, real = [], lie_core.jacobi_check
+
+    def counting(L):
+        checked.append(L.name)
+        return real(L)
+
+    monkeypatch.setattr(ce_complex, "jacobi_check", counting)
+    monkeypatch.setattr(lie_core, "jacobi_check", counting)
+    rep = dense_quotient_cohomology(DenseQuotientInput(entry.algebra, entry.ideal))
+    assert rep.report.betti == entry.expected_betti
+    assert checked == ["torus2_alpha", "torus2_alpha/h"]
 
 
 def test_pipeline_takes_no_determinants(monkeypatch):
