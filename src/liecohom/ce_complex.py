@@ -29,16 +29,15 @@ field_arith's elimination engine works on sparse rows keyed by index
 tuple, and same-length tuples sort in the lex order of index_tuples, so
 the coeffs dict of a form already is an engine row and an engine row
 with its keys sorted is the coeffs of a form.  cohomology builds each d_k
-once as sparse columns (_d_columns), eliminates their transpose, and
-wraps each representative row as a form without re-checking it; it
-forms no Matrix.  ce_differential lays the same columns out as a dense
-Matrix for outside callers, and form_from_vector, which checks its data,
-is for them too.
+once as sparse columns (_d_columns), inserts them once, with no
+transpose, and wraps each representative row as a form without
+re-checking it; it forms no Matrix.  ce_differential lays the same
+columns out as a dense Matrix for outside callers, and form_from_vector,
+which checks its data, is for them too.
 """
 
 from itertools import combinations, islice
 from math import comb
-from numbers import Integral
 
 from .errors import (
     ArityMismatch,
@@ -59,14 +58,9 @@ from .field_arith import (
     _sparse_row,
     format_scalar,
 )
-from .lie_core import jacobi_check
+from .lie_core import _integral, jacobi_check
 
 DEFAULT_MAX_DIM = 20
-
-
-def _integral(value):
-    """True for an integer that is not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _check_degree(k):
@@ -493,7 +487,8 @@ def _horizontal_powers(L, h):
     """_wedge_powers over the 1-forms alpha_f of horizontal_basis: one
     elimination of h's basis, then the horizontal basis of every degree."""
     n = L.dim
-    _, kernel = _rank_and_kernel([_sparse_row(w) for w in h.basis], range(n), L.field.one)
+    _, _, kernel = _rank_and_kernel({a: _sparse_row([w[a] for w in h.basis]) for a in range(n)},
+                                    L.field.one)
     alphas = [ExteriorForm._trusted(n, 1, L.field, {(a + 1,): v[a] for a in sorted(v)})
               for v in kernel]
     return _wedge_powers(n, L.field, alphas)
@@ -588,9 +583,9 @@ def cohomology(L, max_dim=DEFAULT_MAX_DIM):
     previous differential, kept in echelon form, scaled so the first
     nonzero coefficient (lex order on index tuples) is 1.
 
-    Each d_k is built once, as the sparse columns of _d_columns; its rows,
-    their transpose, are eliminated once, and its pivot columns alone are
-    inserted as the image echelon of degree k+1.  Rows, kernel vectors and
+    Each d_k is built once, as the sparse columns of _d_columns, and they
+    are inserted once (_rank_and_kernel): the echelon of its pivot columns
+    is the image echelon of degree k+1.  Columns, kernel vectors and
     representatives are engine rows keyed by index tuple; no matrix is formed.
     """
     _admit(L, max_dim)
@@ -604,27 +599,22 @@ def _cohomology(L):
     field = L.field
     dt = _one_form_differentials(L)
     betti, ranks, representatives = [], [], []
-    # the pivot columns of d_{k-1}, a basis of the image in degree k
-    image = []
+    # the insertion echelon of d_{k-1}'s pivot columns, a basis of the image in degree k
+    image = _echelon()
     for k in range(n + 1):
-        columns = _d_columns(dt, n, k)
-        rows = {}
-        for I, column in columns.items():
-            for J, c in column.items():
-                rows.setdefault(J, {})[I] = c
-        pivots, kernel = _rank_and_kernel([rows[J] for J in sorted(rows)], columns, field.one)
+        echelon, pivots, kernel = _rank_and_kernel(_d_columns(dt, n, k), field.one)
+        previous = ranks[-1] if ranks else 0
         ranks.append(len(pivots))
-        betti_k = len(kernel) - len(image)
+        betti_k = len(kernel) - previous
         betti.append(betti_k)
-        if betti_k != comb(n, k) - len(pivots) - len(image):
+        if betti_k != comb(n, k) - len(pivots) - previous:
             raise InternalCheckFailed(
                 "degree %d: kernel dimension and rank disagree" % k
             )
 
-        echelon = _echelon(image)
         reps = []
         for vec in kernel:
-            row = _echelon_insert(echelon, vec)
+            row = _echelon_insert(image, vec)
             if row is not None:
                 # engine rows hold nonzero field scalars; sorted keys are lex order
                 reps.append(ExteriorForm._trusted(n, k, field, {I: row[I] for I in sorted(row)}))
@@ -634,7 +624,7 @@ def _cohomology(L):
                 % (k, len(reps), betti_k)
             )
         representatives.append(reps)
-        image = [columns[I] for I in pivots]
+        image = echelon
 
     if sum((-1) ** k * b for k, b in enumerate(betti)) != (1 if n == 0 else 0):
         raise InternalCheckFailed("Euler characteristic of %r is not zero" % L.name)

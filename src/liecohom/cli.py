@@ -231,6 +231,15 @@ _INT_TEXT = (frozenset("0123456789"), "the ASCII digits 0-9")
 _FLOAT_TEXT = (frozenset("0123456789.eE+-"), "the ASCII digits 0-9 and . e E + -")
 
 
+def _read(convert, text, form):
+    """convert(text), by int() or float(), or a usage error naming the
+    expected form: argparse would name the type function instead."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("%r is not %s" % (text, form)) from None
+
+
 def _ascii(text, spelling, value):
     """value, read from text by int() or float(), unless text has a
     character outside spelling's: both also read other scripts' digits,
@@ -243,21 +252,21 @@ def _ascii(text, spelling, value):
 
 
 def _seed_type(text):
-    value = int(text)
+    value = _read(int, text, "an integer")
     if not (0 <= value < 2**64):
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
     return _ascii(text, _INT_TEXT, value)
 
 
 def _max_dim_type(text):
-    value = int(text)
+    value = _read(int, text, "an integer")
     if value < 0:
         raise argparse.ArgumentTypeError("dimension cap must be nonnegative")
     return _ascii(text, _INT_TEXT, value)
 
 
 def _positive_float_type(text):
-    value = float(text)
+    value = _read(float, text, "a number")
     if not (0 < value < math.inf):
         raise argparse.ArgumentTypeError("must be positive and finite")
     return _ascii(text, _FLOAT_TEXT, value)

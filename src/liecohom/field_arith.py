@@ -14,19 +14,19 @@ No other module eliminates, and elimination runs on sparse rows: a row is
 a dict {key: nonzero scalar} whose lead is min(row), so a step touches
 only the entries that are there.  Keys are int positions for Matrix and
 dense-vector callers, converted at the boundary, and index tuples for
-forms, where the coeffs dict of an ExteriorForm already is a row.
-Only _echelon makes an echelon, which other modules hand only to
-_echelon_insert and _reduce_against; these answer every independence and
-membership question one row at a time, and rank; _rref, the full reduced
-form, is insertion of every row plus back-reduction, and _rank_and_kernel
-returns its pivots and a sparse kernel read off it.  rank, rank_and_kernel
-and solve_in_span take and return dense data.  The reduced row echelon
-form is unique, and so is each row of an insertion echelon, so these
-answers are those of any exact elimination.  No other module looks
-inside a scalar: _cleared writes scalars over their least common
-denominator, in Z or Q[a], for evaluate and the selftest's rank oracle,
-and _minor_sum sums evaluate's minors there, each taken by the one
-fraction-free kernel _bareiss (rank and determinant over Z and Q[a]).
+forms, where the coeffs dict of an ExteriorForm already is a row.  Only
+_echelon and _rank_and_kernel make an echelon, which other modules hand
+only to _echelon_insert and _reduce_against; these answer every
+independence and membership question one row at a time, and rank.
+_rank_and_kernel inserts a matrix's columns once for its pivots, a sparse
+kernel and the echelon of its pivot columns.  rank, rank_and_kernel and
+solve_in_span take and return dense data.  The pivots and kernel are the
+reduced row echelon form's, and each row of an insertion echelon is
+unique, so these answers are those of any exact elimination.  No other
+module looks inside a scalar: _cleared writes scalars over their least
+common denominator, in Z or Q[a], for evaluate and the selftest's rank
+oracle, and _minor_sum sums evaluate's minors there, each taken by the
+one fraction-free kernel _bareiss (rank and determinant over Z and Q[a]).
 
 Scalar text syntax, used by every file format, is ordinary arithmetic
 notation over integers and at most one indeterminate.  Whitespace is
@@ -808,6 +808,22 @@ def _sparse_row(vec):
     return {j: x for j, x in enumerate(vec) if x}
 
 
+def _subtract(row, c, other):
+    """row -= c * other in place, deleting entries that cancel: the one loop
+    that takes a multiple of an echelon row off a row or a combination."""
+    get = row.get
+    for key, b in other.items():
+        x = get(key)
+        if x is None:
+            row[key] = -(c * b)
+        else:
+            x = x - c * b
+            if x:
+                row[key] = x
+            else:
+                del row[key]
+
+
 def _reduce_against(echelon, row):
     """row reduced against an echelon: a list of (lead, row) pairs, each row
     1 at its lead and without the earlier leads.  Empty exactly when row is
@@ -816,18 +832,8 @@ def _reduce_against(echelon, row):
     get = row.get
     for lead, other in echelon:
         c = get(lead)
-        if c is None:
-            continue
-        for key, b in other.items():
-            x = get(key)
-            if x is None:
-                row[key] = -(c * b)
-            else:
-                x = x - c * b
-                if x:
-                    row[key] = x
-                else:
-                    del row[key]
+        if c is not None:
+            _subtract(row, c, other)
     return row
 
 
@@ -853,37 +859,32 @@ def _echelon(rows=()):
     return echelon
 
 
-def _rref(rows):
-    """Reduced row echelon form as (nonzero rows, pivots): every row is
-    inserted into an echelon, then each echelon row, from the last, is
-    reduced against the rows after it.  Mutates nothing."""
-    echelon = _echelon(rows)
-    for i in reversed(range(len(echelon))):
-        lead, row = echelon[i]
-        echelon[i] = (lead, _reduce_against(echelon[i + 1:], row))
-    echelon.sort(key=lambda pair: pair[0])
-    return [row for _, row in echelon], [lead for lead, _ in echelon]
-
-
-def _rank_and_kernel(rows, keys, one):
-    """(pivots, kernel basis) of engine rows whose keys are among keys: the
-    increasing pivots of _rref, and one kernel row per other key, in the
-    order of keys, 1 there and minus that key's column of the reduced
-    echelon form at the pivots."""
-    rref_rows, pivots = _rref(rows)
-    below = {}
-    for p, row in zip(pivots, rref_rows):
-        for key, x in row.items():
-            if key != p:
-                below.setdefault(key, {})[p] = -x
-    pivot_set = set(pivots)
-    kernel = []
-    for f in keys:
-        if f not in pivot_set:
-            v = {f: one}
-            v.update(below.get(f, ()))
-            kernel.append(v)
-    return pivots, kernel
+def _rank_and_kernel(columns, one):
+    """(echelon, pivots, kernel) of a matrix's columns {key: engine row},
+    inserted in order, each echelon row carrying the combination of columns
+    it is: a column f that reduces to zero gives the kernel vector 1 at f
+    minus its combination of earlier pivots.  Mutates nothing."""
+    echelon, combos, pivots, kernel = [], [], [], []
+    for f, column in columns.items():
+        row, combo = dict(column), {}
+        for (lead, other), other_combo in zip(echelon, combos):
+            c = row.get(lead)
+            if c is not None:
+                _subtract(row, c, other)
+                _subtract(combo, c, other_combo)
+        combo[f] = one
+        if not row:
+            kernel.append(combo)
+            continue
+        lead = min(row)
+        x = row[lead]
+        if x != 1:
+            row = {key: a / x for key, a in row.items()}
+            combo = {key: a / x for key, a in combo.items()}
+        echelon.append((lead, row))
+        combos.append(combo)
+        pivots.append(f)
+    return echelon, pivots, kernel
 
 
 def rank(m):
@@ -897,8 +898,8 @@ def rank_and_kernel(m):
     One kernel vector per free column, free variable set to 1, taken in
     increasing column order.
     """
-    pivots, kernel = _rank_and_kernel([_sparse_row(row) for row in m.to_rows()],
-                                      range(m.cols), m.field.one)
+    _, pivots, kernel = _rank_and_kernel({j: _sparse_row(m.col(j)) for j in range(m.cols)},
+                                         m.field.one)
     zero = m.field.zero
     return len(pivots), [[v.get(j, zero) for j in range(m.cols)] for v in kernel]
 
@@ -908,7 +909,8 @@ def solve_in_span(basis, target):
 
     When the basis is linearly dependent the particular solution with all
     free coefficients zero is returned.  Not being in the span is an
-    answer, not an error.
+    answer, not an error.  The basis and then the target are the columns of
+    one _rank_and_kernel, and the target's kernel vector is minus the answer.
     """
     if not basis:
         return [] if not any(target) else None
@@ -920,16 +922,13 @@ def solve_in_span(basis, target):
     if len(fields) > 1:
         raise MixedFields("span and target mix rational-function fields")
     field = fields.pop() if fields else QQ
-    last = len(basis)
-    aug = [_sparse_row([field.coerce(v[i]) for v in basis] + [field.coerce(target[i])])
-           for i in range(n)]
-    rref_rows, pivots = _rref(aug)
-    if pivots and pivots[-1] == last:
+    columns = {j: _sparse_row([field.coerce(x) for x in v])
+               for j, v in enumerate([*basis, target])}
+    _, pivots, kernel = _rank_and_kernel(columns, field.one)
+    if len(basis) in pivots:
         return None
-    coeffs = [field.zero] * last
-    for row, p in zip(rref_rows, pivots):
-        coeffs[p] = row.get(last, field.zero)
-    return coeffs
+    v = kernel[-1]
+    return [-v[j] if j in v else field.zero for j in range(len(basis))]
 
 
 def _cleared(field, values):

@@ -5,6 +5,8 @@ pairs [e_i, e_j] for i < j; everything else follows by bilinearity and
 antisymmetry.  Indices are 1-based here and in every file format.
 """
 
+from numbers import Integral
+
 from .errors import (
     DimensionMismatch,
     InternalCheckFailed,
@@ -18,12 +20,18 @@ from .field_arith import (
     QQ,
     _echelon,
     _echelon_insert,
-    _rref,
+    _rank_and_kernel,
     _sparse_row,
     field_of,
     format_scalar,
     parse_scalar,
 )
+
+
+def _integral(value):
+    """True for an integer that is not a bool: JSON true and false load as
+    Python bools, and a float such as 3.0 is no index."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class LieAlgebra:
@@ -39,25 +47,26 @@ class LieAlgebra:
     __slots__ = ("name", "dim", "field", "brackets")
 
     def __init__(self, name, dim, field, brackets):
-        if not isinstance(dim, int) or dim < 0:
+        if not _integral(dim) or dim < 0:
             raise DimensionMismatch("dimension must be a nonnegative integer")
+        dim = int(dim)
         table = {}
         for (i, j), terms in brackets.items():
-            if not (1 <= i < j <= dim):
+            if not (_integral(i) and _integral(j) and 1 <= i < j <= dim):
                 raise DimensionMismatch(
                     "bracket pair (%r, %r) out of range for dim %d" % (i, j, dim)
                 )
             clean = {}
             for k in sorted(terms):
-                if not (1 <= k <= dim):
+                if not (_integral(k) and 1 <= k <= dim):
                     raise DimensionMismatch(
                         "bracket term index %r out of range for dim %d" % (k, dim)
                     )
                 coeff = field.coerce(terms[k])
                 if coeff:
-                    clean[k] = coeff
+                    clean[int(k)] = coeff
             if clean:
-                table[(i, j)] = clean
+                table[(int(i), int(j))] = clean
         self.name = str(name)
         self.dim = dim
         self.field = field
@@ -176,6 +185,9 @@ class Subspace:
     __slots__ = ("ambient_dim", "field", "basis")
 
     def __init__(self, ambient_dim, basis, field=None):
+        if not _integral(ambient_dim) or ambient_dim < 0:
+            raise DimensionMismatch("ambient dimension must be a nonnegative integer")
+        ambient_dim = int(ambient_dim)
         basis = [list(v) for v in basis]
         if field is None:
             field = _infer_field(basis)
@@ -270,11 +282,11 @@ def quotient_algebra(L, h):
     """Quotient of L by the ideal h, with explicit projection and section.
 
     The complement is the lexicographically first subset of standard basis
-    vectors completing h to a basis.  Both come out of one reduced echelon
-    form of [h | I]: its pivot columns S are h followed by that complement,
-    and the form itself is S^-1 [h | I], so the last n - dim h rows of its
-    identity block are the projection.  Raises NotAnIdeal (carrying the
-    witness) when h fails ideal_check.
+    vectors completing h to a basis.  Both come out of one _rank_and_kernel
+    whose columns are h's basis and then e_1, ..., e_n: the pivots are h
+    followed by that complement, and the kernel vector of every other e_c
+    writes it on the pivots, which gives its column of the projection.
+    Raises NotAnIdeal (carrying the witness) when h fails ideal_check.
     """
     witness = ideal_check(L, h)
     if witness is not None:
@@ -284,12 +296,16 @@ def quotient_algebra(L, h):
     q = n - m
 
     one, zero = field.one, field.zero
-    aug = [_sparse_row([v[i] for v in h.basis] + [one if c == i else zero for c in range(n)])
-           for i in range(n)]
-    rref_rows, pivots = _rref(aug)
+    columns = {j: _sparse_row(v) for j, v in enumerate(h.basis)}
+    columns.update((m + c, {c: one}) for c in range(n))
+    _, pivots, kernel = _rank_and_kernel(columns, one)
     chosen = [p - m + 1 for p in pivots[m:]]
-    projection = Matrix.from_rows(field, [[row.get(m + c, zero) for c in range(n)]
-                                          for row in rref_rows[m:]], cols=n)
+    # e_c is a pivot column, or minus its kernel vector off its own key
+    free = dict(zip([f for f in columns if f not in pivots], kernel))
+    coords = [{p: -x for p, x in free[m + c].items()} if m + c in free else {m + c: one}
+              for c in range(n)]
+    projection = Matrix.from_rows(field, [[coords[c].get(p, zero) for c in range(n)]
+                                          for p in pivots[m:]], cols=n)
     section_rows = [[one if chosen[b] == i + 1 else zero for b in range(q)]
                     for i in range(n)]
     section = Matrix.from_rows(field, section_rows, cols=q)
@@ -364,18 +380,13 @@ def _require_keys(doc, required, optional=(), what="document"):
         raise ParseError("missing field(s) %s in %s" % (sorted(missing), what))
 
 
-def _is_json_int(value):
-    """True for a JSON integer; JSON true and false load as Python bools."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def algebra_from_json(doc):
     _require_keys(doc, ("name", "dimension", "field", "brackets"), what="algebra")
     name = doc["name"]
     if not isinstance(name, str):
         raise ParseError("algebra name must be a string")
     dim = doc["dimension"]
-    if not _is_json_int(dim) or dim < 0:
+    if not _integral(dim) or dim < 0:
         raise ParseError("dimension must be a nonnegative integer")
     field = field_from_json(doc["field"])
     entries = doc["brackets"]
@@ -385,7 +396,7 @@ def algebra_from_json(doc):
     for entry in entries:
         _require_keys(entry, ("i", "j", "terms"), what="bracket entry")
         i, j = entry["i"], entry["j"]
-        if not (_is_json_int(i) and _is_json_int(j)) or i >= j:
+        if not (_integral(i) and _integral(j)) or i >= j:
             raise ParseError("bracket entry needs integer indices with i < j")
         if (i, j) in table:
             raise ParseError("duplicate bracket pair (%d, %d)" % (i, j))
@@ -395,7 +406,7 @@ def algebra_from_json(doc):
         for term in entry["terms"]:
             _require_keys(term, ("k", "coeff"), what="bracket term")
             k = term["k"]
-            if not _is_json_int(k):
+            if not _integral(k):
                 raise ParseError("term index k must be an integer")
             if k in terms:
                 raise ParseError("duplicate term index %d in pair (%d, %d)" % (k, i, j))

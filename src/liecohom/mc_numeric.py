@@ -25,8 +25,9 @@ the package imports this module on every command, and the exact commands
 
 import math
 
-from .ce_complex import _integral, ce_differential, index_tuples
+from .ce_complex import ce_differential, index_tuples
 from .errors import DimensionMismatch, InvalidParameter, SingularMatrix
+from .lie_core import _integral
 
 DET_THRESHOLD = 1e-8
 DEFAULT_TOL = 1e-6

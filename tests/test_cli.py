@@ -436,6 +436,12 @@ def test_argparse_usage_errors_exit_2():
     ["selftest", "--tol", "\u0663"],
     ["selftest", "--step", "\u0663"],
     ["selftest", "--step", "1_0e-4"],
+    # int() and float() refuse these; the message names the expected form,
+    # not the private function that read the text
+    ["cohomology", "--max-dim", "abc", "doc.json"],
+    ["selftest", "--seed", "x"],
+    ["selftest", "--tol", "e"],
+    ["selftest", "--step", "1e"],
 ])
 def test_bad_numeric_options_are_usage_errors(argv, capsys):
     # rejected while parsing, before any document is read or suite is run
@@ -445,6 +451,7 @@ def test_bad_numeric_options_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert argv[1] in captured.err
+    assert "_type" not in captured.err
 
 
 # --help, an unknown option and no arguments, at the top level and for

@@ -6,7 +6,7 @@ from math import comb, lcm
 import pytest
 
 import _oracle
-from liecohom import ce_complex, field_arith
+from liecohom import ce_complex, field_arith, lie_core
 from liecohom.errors import (
     DimensionMismatch,
     DivisionByZero,
@@ -22,10 +22,10 @@ from liecohom.field_arith import (
     QQ,
     RationalFunction,
     _bareiss,
+    _echelon,
     _echelon_insert,
     _rank_and_kernel,
     _reduce_against,
-    _rref,
     _sparse_row,
     format_scalar,
     parse_scalar,
@@ -317,20 +317,102 @@ def test_echelon_insert_keeps_the_greedy_independent_set(field):
             assert (not reduced) == (_oracle.gauss_rank(kept + [v]) == len(kept))
 
 
+def _oracle_kernel(rref_rows, pivots, ncols, field):
+    """One kernel vector per free column f of a reduced echelon form, keyed
+    by position: 1 at f, minus f's column at the pivots."""
+    kernel = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = {f: field.one}
+            v.update((p, -row[f]) for p, row in zip(pivots, rref_rows) if row[f])
+            kernel.append(v)
+    return kernel
+
+
+def _columns(rows, ncols):
+    """The columns {j: engine row keyed by row position} of a matrix given
+    by its rows, each a dense vector or an engine row keyed by position."""
+    rows = [row if isinstance(row, dict) else _sparse_row(row) for row in rows]
+    return {j: {i: row[j] for i, row in enumerate(rows) if j in row} for j in range(ncols)}
+
+
+def _check_against_gauss_jordan(columns, dense_rows, ncols, field):
+    """_rank_and_kernel of the columns against the oracle's reduced echelon
+    form of the same matrix's rows; returns the engine's answer."""
+    before = {key: dict(column) for key, column in columns.items()}
+    echelon, pivots, kernel = _rank_and_kernel(columns, field.one)
+    assert columns == before
+    rref_rows, rref_pivots = _oracle.gauss_jordan(dense_rows)
+    assert pivots == rref_pivots
+    for v in kernel:
+        _dense(v, ncols, field)
+    assert kernel == _oracle_kernel(rref_rows, pivots, ncols, field)
+    assert echelon == _echelon(columns[p] for p in pivots)
+    return echelon, pivots, kernel
+
+
 @pytest.mark.parametrize("field", [QQ, FA])
-def test_rref_matches_gauss_jordan(field):
-    assert _rref([]) == _oracle.gauss_jordan([]) == ([], [])
+def test_rank_and_kernel_matches_gauss_jordan(field):
+    # the columns of a matrix inserted in order: the pivots and each kernel
+    # vector are the oracle's reduced echelon form's, and the echelon is
+    # that of the pivot columns alone
+    assert _rank_and_kernel({}, field.one) == ([], [], [])
     rng = random.Random(11 if field is QQ else 12)
-    seen_tall = False
+    seen_tall = seen_wide = False
     for n, vectors in _random_vector_lists(rng, field, 150 if field is QQ else 25):
-        rows = [_sparse_row(v) for v in vectors]
-        before = [dict(row) for row in rows]
-        rref_rows, pivots = _rref(rows)
-        assert ([_dense(row, n, field) for row in rref_rows], pivots) == \
-            _oracle.gauss_jordan(vectors)
-        assert rows == before
+        _check_against_gauss_jordan(_columns(vectors, n), vectors, n, field)
         seen_tall = seen_tall or len(vectors) > n
-    assert seen_tall
+        seen_wide = seen_wide or 0 < len(vectors) < n
+    assert seen_tall and seen_wide
+
+
+@pytest.mark.parametrize("field", [QQ, FA])
+def test_solve_in_span_matches_gauss_jordan(field):
+    # the target is in the span exactly when it is no pivot column of the
+    # oracle's reduced form of [basis | target]; the coefficients are the
+    # target's column there, zero at dependent basis vectors
+    rng = random.Random(13 if field is QQ else 14)
+    dependent = solved = 0
+    for n, vectors in _random_vector_lists(rng, field, 150 if field is QQ else 25):
+        for last in range(len(vectors)):
+            basis, target = vectors[:last], vectors[last]
+            aug = [[v[i] for v in basis] + [target[i]] for i in range(n)]
+            rref_rows, pivots = _oracle.gauss_jordan(aug)
+            got = solve_in_span(basis, target)
+            if last in pivots:
+                assert got is None
+                continue
+            want = [field.zero] * last
+            for p, row in zip(pivots, rref_rows):
+                want[p] = row[last]
+            assert got == want
+            solved += 1
+            dependent += len(pivots) < last
+    assert solved > dependent > (30 if field is QQ else 10)
+
+
+@pytest.mark.parametrize("field", [QQ, FA])
+def test_quotient_projection_matches_gauss_jordan(field):
+    # on an abelian algebra every subspace is an ideal; the projection is the
+    # last n - dim h rows of the identity block of the oracle's reduced
+    # form of [h | I], and the complement its pivot columns past h
+    rng = random.Random(15 if field is QQ else 16)
+    sizes = set()
+    for n, vectors in _random_vector_lists(rng, field, 150 if field is QQ else 25):
+        basis = []
+        for v in vectors:
+            if _oracle.gauss_rank(basis + [v]) > len(basis):
+                basis.append(v)
+        m = len(basis)
+        aug = [[v[i] for v in basis] + [field.one if c == i else field.zero for c in range(n)]
+               for i in range(n)]
+        rref_rows, pivots = _oracle.gauss_jordan(aug)
+        qd = lie_core.quotient_algebra(lie_core.LieAlgebra.abelian("a", n, field),
+                                       lie_core.Subspace(n, basis, field))
+        assert qd.projection.to_rows() == [row[m:] for row in rref_rows[m:]]
+        assert [qd.section.col(b).index(field.one) + m for b in range(n - m)] == pivots[m:]
+        sizes.add((m, n - m))
+    assert len(sizes) >= 10
 
 
 def _random_sparse_rows(rng, field, count):
@@ -370,27 +452,22 @@ def _fraction_free(field, rows, ncols):
 
 @pytest.mark.parametrize("field", [QQ, FA], ids=["Q", "Q(a)"])
 def test_sparse_engine_on_random_sparse_matrices(field):
-    # rank against the fraction-free kernel, the reduced form against the
-    # oracle's dense Gauss-Jordan, the pivots those of the reduced form,
-    # every kernel row annihilated, and tuple keys in lex order giving the
-    # echelon of int keys
+    # rank against the fraction-free kernel, pivots, kernel and echelon of
+    # the columns against the oracle's dense Gauss-Jordan, every kernel row
+    # annihilated, and tuple keys in lex order giving the echelon of int keys
     rng = random.Random(41 if field is QQ else 42)
     one = 1 if field is QQ else _POLY_ONE
     tuples = list(ce_complex.index_tuples(7, 3))
     ranks = set()
     for ncols, rows in _random_sparse_rows(rng, field, 200 if field is QQ else 40):
-        pivots, kernel = _rank_and_kernel(rows, range(ncols), field.one)
+        dense = [_dense(row, ncols, field) for row in rows]
+        columns = _columns(rows, ncols)
+        echelon, pivots, kernel = _check_against_gauss_jordan(columns, dense, ncols, field)
         r = len(pivots)
         ranks.add(r)
         assert r == _bareiss(_fraction_free(field, rows, ncols), one)[0]
         assert r + len(kernel) == ncols
-        rref_rows, rref_pivots = _rref(rows)
-        assert pivots == rref_pivots
-        dense = [_dense(row, ncols, field) for row in rows]
-        assert ([_dense(row, ncols, field) for row in rref_rows], pivots) == \
-            _oracle.gauss_jordan(dense)
         for v in kernel:
-            _dense(v, ncols, field)
             for row in rows:
                 assert not sum((x * v[key] for key, x in row.items() if key in v),
                                field.zero)
@@ -400,17 +477,16 @@ def test_sparse_engine_on_random_sparse_matrices(field):
             return {tuples[j]: x for j, x in row.items()}
 
         by_tuple = [relabel(row) for row in rows]
-        got_rows, got_pivots = _rref(by_tuple)
-        assert got_rows == [relabel(row) for row in rref_rows]
-        assert got_pivots == [tuples[p] for p in pivots]
+        got = _rank_and_kernel({tuples[j]: relabel(column) for j, column in columns.items()},
+                               field.one)
+        assert got == ([(tuples[lead], relabel(row)) for lead, row in echelon],
+                       [tuples[p] for p in pivots], [relabel(v) for v in kernel])
         echelon_int, echelon_tuple = [], []
         for row, row_t in zip(rows, by_tuple):
             inserted = _echelon_insert(echelon_int, row)
             inserted_t = _echelon_insert(echelon_tuple, row_t)
             assert (inserted is None) == (inserted_t is None)
         assert echelon_tuple == [(tuples[lead], relabel(row)) for lead, row in echelon_int]
-        assert _rank_and_kernel(by_tuple, tuples[:ncols], field.one)[1] == \
-            [relabel(v) for v in kernel]
     assert len(ranks) >= 5
 
 

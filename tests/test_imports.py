@@ -109,26 +109,55 @@ def _calls(node, names):
             and node.func.id in names)
 
 
+def _echelon_bindings(func):
+    """(name, source) for each assignment in func that may bind a name to an
+    echelon: source is None when the name is bound by a call of _echelon or
+    as the first target of a _rank_and_kernel unpacking, and the Name read
+    when the name is assigned from another name."""
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Assign):
+            continue
+        value = node.value
+        for target in node.targets:
+            if isinstance(target, ast.Name) and _calls(value, {"_echelon"}):
+                yield target.id, None
+            elif isinstance(target, ast.Name) and isinstance(value, ast.Name):
+                yield target.id, value
+            elif (isinstance(target, ast.Tuple) and target.elts
+                  and isinstance(target.elts[0], ast.Name)
+                  and _calls(value, {"_rank_and_kernel"})):
+                yield target.elts[0].id, None
+
+
 def echelon_misuses(source):
     """Functions that build or read an echelon by hand: a call of
-    _echelon_insert or _reduce_against whose first argument is not a name
-    bound in that function only by a call of _echelon, or a use of such a
-    name anywhere but there."""
+    _echelon_insert or _reduce_against whose first argument is not an
+    echelon name, or a use of an echelon name anywhere but there or as the
+    value assigned to another echelon name.  An echelon name is bound in
+    its function only by a call of _echelon, as the first target of a
+    _rank_and_kernel unpacking, or by assignment from an echelon name."""
     tree = ast.parse(source)
     misuses = set()
     for func in ast.walk(tree):
         if not isinstance(func, ast.FunctionDef):
             continue
-        bound, by_echelon = Counter(), Counter()
+        bound = Counter()
         for node in ast.walk(func):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 bound[node.id] += 1
             elif isinstance(node, ast.arg):
                 bound[node.arg] += 1
-            elif isinstance(node, ast.Assign) and _calls(node.value, {"_echelon"}):
-                by_echelon.update(t.id for t in node.targets if isinstance(t, ast.Name))
-        echelons = {name for name, count in by_echelon.items() if bound[name] == count}
-        handed_back = set()
+        bindings = list(_echelon_bindings(func))
+        echelons = set()
+        while True:
+            counted = Counter(name for name, value in bindings
+                              if value is None or value.id in echelons)
+            grown = {name for name, count in counted.items() if bound[name] == count}
+            if grown == echelons:
+                break
+            echelons = grown
+        handed_back = {id(value) for name, value in bindings
+                       if value is not None and name in echelons and value.id in echelons}
         for node in ast.walk(func):
             if _calls(node, ECHELON_READERS):
                 first = node.args[0] if node.args else None
@@ -160,8 +189,13 @@ def test_detects_an_echelon_built_or_read_by_hand():
         "    return _reduce_against(e, r)\n\n"
         "def passed_in(e, r):\n    return _reduce_against(e, r)\n\n"
         "def owned(rows, r):\n    e = _echelon()\n    _echelon_insert(e, r)\n"
-        "    return _reduce_against(e, r)\n")
-    assert sorted(echelon_misuses(source)) == ["listed", "measured", "passed_in", "rebound"]
+        "    return _reduce_against(e, r)\n\n"
+        "def unpacked_measured(c, one):\n    e, p, k = _rank_and_kernel(c, one)\n"
+        "    return len(e)\n\n"
+        "def unpacked_owned(c, one, v):\n    e, p, k = _rank_and_kernel(c, one)\n"
+        "    return _echelon_insert(e, v)\n")
+    assert sorted(echelon_misuses(source)) == ["listed", "measured", "passed_in", "rebound",
+                                               "unpacked_measured"]
 
 
 SCALAR_INSIDES = {"Poly", "RationalFunction", "_POLY_ONE", "poly_gcd"}

@@ -35,14 +35,14 @@ real_rank_and_kernel = ce_complex._rank_and_kernel
 real_cohomology = quotient_pipeline._cohomology
 
 
-def drop_kernel_vector(rows, keys, one):
-    pivots, kernel = real_rank_and_kernel(rows, keys, one)
-    return pivots, kernel[:-1]
+def drop_kernel_vector(columns, one):
+    echelon, pivots, kernel = real_rank_and_kernel(columns, one)
+    return echelon, pivots, kernel[:-1]
 
 
-def drop_pivot(rows, keys, one):
-    pivots, kernel = real_rank_and_kernel(rows, keys, one)
-    return pivots[:-1], kernel
+def drop_pivot(columns, one):
+    echelon, pivots, kernel = real_rank_and_kernel(columns, one)
+    return echelon, pivots[:-1], kernel
 
 
 def wrong_betti(L):
@@ -107,10 +107,10 @@ HEIS = {"name": "heisenberg3", "dimension": 3, "field": "Q",
 
 def _assert_cohomology_exits_6(tmp_path, capsys, monkeypatch, doctor):
     """`cohomology` on HEIS, with _rank_and_kernel's answer passed through
-    doctor(pivots, kernel), exits 6 with no report and says why."""
+    doctor(echelon, pivots, kernel), exits 6 with no report and says why."""
     real = ce_complex._rank_and_kernel
     monkeypatch.setattr(ce_complex, "_rank_and_kernel",
-                        lambda rows, keys, one: doctor(*real(rows, keys, one)))
+                        lambda columns, one: doctor(*real(columns, one)))
     assert main(["cohomology", _write(tmp_path, HEIS)]) == 6
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -121,14 +121,14 @@ def test_cli_cohomology_exits_6(tmp_path, capsys, monkeypatch):
     # cohomology takes each degree's pivots and sparse kernel from the
     # engine's _rank_and_kernel; a dropped kernel vector must exit 6
     _assert_cohomology_exits_6(tmp_path, capsys, monkeypatch,
-                               lambda pivots, kernel: (pivots, kernel[:-1]))
+                               lambda echelon, pivots, kernel: (echelon, pivots, kernel[:-1]))
 
 
 def test_cli_cohomology_exits_6_on_a_dropped_pivot(tmp_path, capsys, monkeypatch):
-    # the pivots give the rank and the next degree's image; heisenberg3
-    # has a pivot in degree 1, so dropping the last one must exit 6
+    # the pivots give the rank; heisenberg3 has a pivot in degree 1, so
+    # dropping the last one must exit 6
     _assert_cohomology_exits_6(tmp_path, capsys, monkeypatch,
-                               lambda pivots, kernel: (pivots[:-1], kernel))
+                               lambda echelon, pivots, kernel: (echelon, pivots[:-1], kernel))
 
 
 def test_cli_quotient_exits_6(tmp_path, capsys, monkeypatch):

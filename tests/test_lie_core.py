@@ -4,6 +4,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import _oracle
@@ -427,6 +428,48 @@ def test_dim_zero_algebra():
     assert jacobi_check(L) == []
     qd = quotient_algebra(L, Subspace.zero(0, QQ))
     assert qd.quotient.dim == 0
+
+
+def test_dimensions_and_indices_are_nonnegative_integers():
+    # a bool or a float is no index: kept as given, it would be written back
+    # as JSON true or 3.0, which algebra_from_json refuses
+    bad_algebras = [
+        ("x", True, QQ, {}),
+        ("x", 2.0, QQ, {}),
+        ("x", -1, QQ, {}),
+        ("x", 3, QQ, {(True, 2): {3: 1}}),
+        ("x", 3, QQ, {(1, 2.0): {3: 1}}),
+        ("x", 3, QQ, {(1, 2): {3.0: 1}}),
+        ("x", 3, QQ, {(1, 2): {True: 1}}),
+    ]
+    for args in bad_algebras:
+        with pytest.raises(DimensionMismatch):
+            LieAlgebra(*args)
+    for ambient in (-1, True, False, 2.0):
+        with pytest.raises(DimensionMismatch):
+            Subspace(ambient, [])
+
+
+def test_algebra_json_round_trips_random_tables():
+    # every table the constructor takes, with plain or numpy integer
+    # indices, is written as JSON integers and read back equal
+    rng = random.Random(23)
+    for _ in range(60):
+        field = rng.choice([QQ, FA])
+        n = rng.randint(0, 6)
+        index = rng.choice([int, np.int64])
+
+        def coeff():
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            return c * A + 1 if field is FA and rng.random() < 0.3 else c
+
+        table = {(index(i), index(j)): {index(k): coeff()
+                                        for k in rng.sample(range(1, n + 1), rng.randint(0, n))}
+                 for i, j in combinations(range(1, n + 1), 2) if rng.random() < 0.4}
+        L = LieAlgebra("t%d" % n, index(n), field, table)
+        doc = algebra_to_json(L)
+        assert algebra_from_json(doc) == L
+        assert algebra_from_json(json.loads(json.dumps(doc))) == L
 
 
 # ---------------------------------------------------------------------------

@@ -438,19 +438,20 @@ def test_pipeline_takes_no_determinants(monkeypatch):
 
 def test_span_questions_take_no_reduced_echelon_form(monkeypatch):
     # independence and membership go through the echelon insertion step;
-    # the reduced echelon form is left to quotient_algebra's projection
+    # the elimination that answers kernels, _rank_and_kernel, is left to
+    # quotient_algebra's projection
     calls = []
-    real_rref = lie_core._rref
+    real = lie_core._rank_and_kernel
 
-    def counted(rows):
-        calls.append(rows)
-        return real_rref(rows)
+    def counted(columns, one):
+        calls.append(columns)
+        return real(columns, one)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("_rref called for a span question")
+        raise AssertionError("_rank_and_kernel called for a span question")
 
-    monkeypatch.setattr(lie_core, "_rref", counted)
-    monkeypatch.setattr(quotient_pipeline, "_rref", forbidden, raising=False)
+    monkeypatch.setattr(lie_core, "_rank_and_kernel", counted)
+    monkeypatch.setattr(quotient_pipeline, "_rank_and_kernel", forbidden, raising=False)
     L = heisenberg()
     assert lie_core.ideal_check(L, heis_center()) is None
     witness = lie_core.ideal_check(L, Subspace(3, [[1, 0, 0]], QQ))
