@@ -4,7 +4,8 @@ Commands: validate, cohomology, quotient, catalog, selftest.  Reports go to
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 Jacobi violation,
 2 not an ideal, 3 parse error or unknown key, 4 dimension cap exceeded,
 5 selftest failure, 6 an internal consistency check failed (a bug: the
-report would be wrong, so none is printed).  One parser serves every call.
+report would be wrong, so none is printed).  One parser serves every call,
+and one writer, _json_text, prints every indented --json payload.
 """
 
 import argparse
@@ -22,7 +23,7 @@ from .errors import (
     NotAnIdeal,
     ParseError,
 )
-from .field_arith import format_scalar
+from .field_arith import _int_of_digits, format_scalar
 from .lie_core import algebra_from_json, ideal_check, jacobi_check
 from .mc_numeric import DEFAULT_STEP, DEFAULT_TOL
 from .quotient_pipeline import dense_quotient_cohomology, pipeline_input_from_json
@@ -35,6 +36,77 @@ EXIT_PARSE = 3
 EXIT_DIM_CAP = 4
 EXIT_SELFTEST = 5
 EXIT_INTERNAL = 6
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value):
+    """json.dumps(value, indent=2), byte for byte, for the dicts with str
+    keys, lists, str, int, bool and None that the commands print.
+
+    json.dumps runs its pure-Python encoder whenever indent is set; this
+    writer joins a flat list of ints or of strings in one step.  An int
+    past the digit limit raises ValueError, as in json.dumps, and any other
+    type TypeError.
+
+    >>> _json_text({"betti": [1, 0], "note": None, "w": {}})
+    '{\\n  "betti": [\\n    1,\\n    0\\n  ],\\n  "note": null,\\n  "w": {}\\n}'
+    """
+    parts = []
+    _json_parts(value, "\n", parts.append)
+    return "".join(parts)
+
+
+def _json_parts(value, newline, put):
+    """Put the text of value, each line after the first starting with
+    newline (a line break and the enclosing indent); containers first, as
+    a report is mostly dicts and lists."""
+    if isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        lead = "{" + inner
+        for key, x in value.items():
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            put(lead + _quote(key) + ": ")
+            lead = sep
+            _json_parts(x, inner, put)
+        put(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        first = type(value[0])
+        if first is int and all(type(x) is int for x in value):
+            put("[" + inner + sep.join(map(int.__repr__, value)) + newline + "]")
+        elif first is str and all(type(x) is str for x in value):
+            put("[" + inner + sep.join(map(_quote, value)) + newline + "]")
+        else:
+            lead = "[" + inner
+            for x in value:
+                put(lead)
+                lead = sep
+                _json_parts(x, inner, put)
+            put(newline + "]")
+    elif isinstance(value, str):
+        put(_quote(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(value).__name__)
 
 
 def _fail(message, code):
@@ -93,7 +165,7 @@ def _print_violations(violations, as_json):
                 for i, j, k, res in violations
             ],
         }
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         print("jacobi: FAIL (%d violations)" % len(violations))
         for i, j, k, res in violations:
@@ -111,7 +183,7 @@ def _print_witness(witness, as_json):
                 "bracket": [format_scalar(x) for x in result],
             },
         }
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         print("ideal: FAIL")
         print("  [e_%d, %s] = %s leaves the subspace" % (i, _vector_text(w), _vector_text(result)))
@@ -162,7 +234,7 @@ def cmd_cohomology(args):
         raise ParseError("document carries an ideal; use the quotient command")
     report = cohomology(parsed, max_dim=args.max_dim)
     if args.json:
-        print(json.dumps(report.to_json(), indent=2))
+        print(_json_text(report.to_json()))
     else:
         lines = ["algebra: %s" % report.algebra, "dimension: %d" % report.dim]
         print("\n".join(lines + _report_lines(report, args.representatives)))
@@ -177,7 +249,7 @@ def cmd_quotient(args):
         parsed, check_chain_iso=not args.no_chain_iso, max_dim=args.max_dim
     )
     if args.json:
-        print(json.dumps(report.to_json(), indent=2))
+        print(_json_text(report.to_json()))
     else:
         lines = [
             "algebra: %s" % report.algebra,
@@ -195,7 +267,7 @@ def cmd_quotient(args):
 def cmd_catalog(args):
     if args.action == "list":
         if args.json:
-            print(json.dumps({"keys": catalog_keys()}, indent=2))
+            print(_json_text({"keys": catalog_keys()}))
         else:
             for key in catalog_keys():
                 print("%s: %s" % (key, describe(key)))
@@ -205,20 +277,20 @@ def cmd_catalog(args):
     entry = catalog_entry(args.key)
     if args.doc:
         # just the input document, ready to feed back to the other commands
-        print(json.dumps(entry.document, indent=2))
+        print(_json_text(entry.document))
         return EXIT_OK
     if args.json:
-        print(json.dumps({
+        print(_json_text({
             "key": entry.key,
             "note": entry.note,
             "expected_betti": entry.expected_betti,
             "document": entry.document,
-        }, indent=2))
+        }))
     else:
         print("key: %s" % entry.key)
         print("note: %s" % entry.note)
         print("expected betti: %s" % " ".join(str(b) for b in entry.expected_betti))
-        print(json.dumps(entry.document, indent=2))
+        print(_json_text(entry.document))
     return EXIT_OK
 
 
@@ -233,7 +305,10 @@ _FLOAT_TEXT = (frozenset("0123456789.eE+-"), "the ASCII digits 0-9 and . e E + -
 
 def _read(convert, text, form):
     """convert(text), by int() or float(), or a usage error naming the
-    expected form: argparse would name the type function instead."""
+    expected form: argparse would name the type function instead.  An
+    integer of ASCII digits is read at any length, past int()'s limit."""
+    if convert is int and text.isascii() and text.isdigit():
+        return _int_of_digits(text)
     try:
         return convert(text)
     except ValueError:

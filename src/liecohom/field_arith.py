@@ -119,12 +119,17 @@ class Poly:
             return self * other.coeffs[0]
         if len(self.coeffs) == 1:
             return other * self.coeffs[0]
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        # integer numerators over one denominator: a gcd per coefficient of
+        # the product, not a Fraction product per pair of terms
+        na, da = _cleared(QQ, self.coeffs)
+        nb, db = _cleared(QQ, other.coeffs)
+        out = [0] * (len(na) + len(nb) - 1)
+        for i, a in enumerate(na):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(nb):
                     out[i + j] += a * b
-        return Poly(out)
+        den = da * db
+        return Poly(tuple(Fraction(x, den) for x in out))
 
     __rmul__ = __mul__
 

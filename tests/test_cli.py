@@ -1,17 +1,22 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import liecohom
 from liecohom.catalog import CATALOG_KEYS, catalog_entry
-from liecohom.cli import main
+from liecohom.ce_complex import cohomology
+from liecohom.cli import _json_text, main
+from liecohom.field_arith import Field, format_scalar, parse_scalar
+from liecohom.quotient_pipeline import dense_quotient_cohomology, pipeline_input_from_json
 
 
 def write_doc(tmp_path, doc, name="doc.json"):
@@ -404,6 +409,131 @@ def test_catalog_documents_round_trip(tmp_path, capsys):
         assert expected in out, key
 
 
+# ---------------------------------------------------------------------------
+# the --json writer
+
+def indented(value):
+    return json.dumps(value, indent=2)
+
+
+def test_json_text_matches_json_dumps_on_every_catalog_payload(tmp_path, capsys):
+    for key in CATALOG_KEYS:
+        entry = catalog_entry(key)
+        path = write_doc(tmp_path, entry.document, name="%s.json" % key)
+        if "algebra" in entry.document:
+            report = dense_quotient_cohomology(pipeline_input_from_json(entry.document))
+            command = "quotient"
+        else:
+            report = cohomology(entry.algebra)
+            command = "cohomology"
+        expected = indented(report.to_json())
+        assert _json_text(report.to_json()) == expected, key
+        assert main([command, "--json", path]) == 0
+        assert capsys.readouterr().out == expected + "\n", key
+        shown = {"key": entry.key, "note": entry.note,
+                 "expected_betti": entry.expected_betti, "document": entry.document}
+        assert main(["catalog", "show", key, "--json"]) == 0
+        assert capsys.readouterr().out == indented(shown) + "\n", key
+        assert main(["catalog", "show", key, "--doc"]) == 0
+        assert capsys.readouterr().out == indented(entry.document) + "\n", key
+        assert main(["catalog", "show", key]) == 0
+        assert capsys.readouterr().out.endswith("\n" + indented(entry.document) + "\n"), key
+    assert main(["catalog", "list", "--json"]) == 0
+    assert capsys.readouterr().out == indented({"keys": list(CATALOG_KEYS)}) + "\n"
+
+
+def bad_jacobi_doc_over_qa():
+    doc = bad_jacobi_doc()
+    doc["field"] = {"rational_function_in": "a"}
+    doc["brackets"][1]["terms"][0]["coeff"] = "(a^2 - 1/3)/(2*a + 5)"
+    return doc
+
+
+@pytest.mark.parametrize("command, doc, code", [
+    ("validate", bad_jacobi_doc(), 1),
+    ("validate", bad_jacobi_doc_over_qa(), 1),
+    ("cohomology", bad_jacobi_doc_over_qa(), 1),
+    ("validate", non_ideal_pipeline_doc(), 2),
+    ("quotient", non_ideal_pipeline_doc(), 2),
+], ids=["jacobi", "jacobi_qa", "cohomology_jacobi_qa", "ideal", "quotient_ideal"])
+def test_json_text_matches_json_dumps_on_refusals(tmp_path, capsys, command, doc, code):
+    assert main([command, "--json", write_doc(tmp_path, doc)]) == code
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert payload["status"] in ("jacobi_violation", "not_an_ideal")
+    assert out == indented(payload) + "\n"
+    assert _json_text(payload) == indented(payload)
+
+
+# quote, backslash, control and non-ASCII characters (a line separator and
+# one outside the basic plane, which json escapes as a surrogate pair)
+_CHARS = 'aZ09 :,"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001d49c'
+_QA = Field("a")
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not this"
+
+
+class _Str(str):
+    def __str__(self):
+        return "not this"
+
+
+def random_json(rng, depth):
+    kind = rng.randrange(9 if depth else 5)
+    if kind == 0:
+        return rng.choice([True, False, None, 0, -1, _Int(7), _Str("s")])
+    if kind == 1:
+        return rng.randint(-10**40, 10**40)
+    if kind == 2:
+        return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+    if kind == 3:
+        # a Q(a) coefficient as a report prints it
+        return format_scalar(parse_scalar("(%d*a^2 - %d/%d)/(a + %d)" % (
+            rng.randint(-9, 9), rng.randint(0, 9), rng.randint(1, 9), rng.randint(1, 9)), _QA))
+    if kind == 4:
+        return [rng.randint(-5, 99) for _ in range(rng.randrange(4))]
+    if kind in (5, 6):
+        return [random_json(rng, depth - 1) for _ in range(rng.randrange(4))]
+    key = _Str if kind == 7 else str
+    return {key("".join(rng.choice(_CHARS) for _ in range(rng.randrange(4)))):
+            random_json(rng, depth - 1) for _ in range(rng.randrange(4))}
+
+
+def test_json_text_matches_json_dumps_on_random_values():
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(3000):
+        value = random_json(rng, 4)
+        assert _json_text(value) == indented(value), value
+        seen.add(type(value).__name__ + ("_empty" if value == [] or value == {} else ""))
+    assert seen >= {"dict", "dict_empty", "list", "list_empty", "str", "int"}
+    for value in ([1, True], [True, 1], ["x", 1], [1, "x"], [None, None], [[]],
+                  [{}], {"": []}, [_Int(3), 4], [4, _Int(3)], [_Str("q"), "r"],
+                  {"k": [1, [2, [3, []]]]}, "\u0000\\\"\ud800"):
+        assert _json_text(value) == indented(value), value
+
+
+@pytest.mark.parametrize("value", [
+    1.5, (1, 2), {1, 2}, b"x", Fraction(1, 2), object(),
+    [1, 2.0], ["x", (1,)], {"k": {"j": 1.0}}, {1: "x"}, {None: 1},
+], ids=repr)
+def test_json_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+@pytest.mark.parametrize("value", [10**5000, [1, 10**5000], {"x": [[-10**5000]]}],
+                         ids=["int", "flat_list", "nested"])
+def test_json_text_refuses_an_int_past_the_digit_limit_as_json_dumps_does(value):
+    with pytest.raises(ValueError):
+        indented(value)
+    with pytest.raises(ValueError):
+        _json_text(value)
+
+
 def test_argparse_usage_errors_exit_2():
     # malformed invocations are argparse's domain; its usage failures exit 2
     # before any document is read, distinct from our not-an-ideal code path
@@ -452,6 +582,24 @@ def test_bad_numeric_options_are_usage_errors(argv, capsys):
     assert captured.out == ""
     assert argv[1] in captured.err
     assert "_type" not in captured.err
+
+
+def test_numeric_options_past_the_int_digit_limit(tmp_path, capsys):
+    # int() refuses more than sys.get_int_max_str_digits() digits; the
+    # options read ASCII digits at any length
+    digits = "1" * 5000
+    with pytest.raises(SystemExit) as exc_info:
+        main(["selftest", "--seed", digits])
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must fit in 64 bits" in captured.err
+    assert "is not an integer" not in captured.err and "1" * 100 not in captured.err
+    assert main(["cohomology", "--max-dim", digits, write_doc(tmp_path, so3_doc())]) == 0
+    assert "betti: 1 0 0 1" in capsys.readouterr().out
+    assert main(["quotient", "--max-dim", digits,
+                 write_doc(tmp_path, heis_pipeline_doc(), name="pipeline.json")]) == 0
+    assert "betti: 1 2" in capsys.readouterr().out
 
 
 # --help, an unknown option and no arguments, at the top level and for

@@ -683,6 +683,28 @@ def test_rational_function_pow_and_neg():
         FA.zero ** (-1)
 
 
+def test_poly_products_match_schoolbook_multiplication():
+    # Poly multiplies integer numerators over one common denominator; the
+    # oracle multiplies Fractions term by term
+    rng = random.Random(11)
+
+    def coeffs():
+        return [Fraction(rng.choice([0, 0, rng.randint(-9, 9), rng.randint(-10**12, 10**12)]),
+                         rng.choice([1, 1, 2, 7, rng.randint(1, 10**9)]))
+                for _ in range(rng.choice([0, 1, 1, 2, 3, 5, 8]))]
+
+    degrees = set()
+    for _ in range(500):
+        p, q = Poly(coeffs()), Poly(coeffs())
+        product = p * q
+        assert list(product.coeffs) == _oracle.poly_mul(list(p.coeffs), list(q.coeffs))
+        assert all(type(c) is Fraction for c in product.coeffs)
+        assert (q * p).coeffs == product.coeffs
+        degrees.add(min(p.degree, q.degree, 1))
+    # zero and constant factors, and products of two non-constant ones
+    assert degrees == {-1, 0, 1}
+
+
 def _product(*factors, scale=1):
     out = [Fraction(scale)]
     for f in factors:

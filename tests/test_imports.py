@@ -3,7 +3,8 @@ module-level private function or class is used somewhere in the package,
 and every docstring example in the package runs.  Three decisions have one
 owner each: only field_arith builds or looks inside an echelon, only
 field_arith knows how a scalar is stored, and one function raises
-DimensionCapExceeded."""
+DimensionCapExceeded.  No json.dumps call passes indent: cli's one writer
+prints indented JSON."""
 
 import ast
 import doctest
@@ -273,3 +274,43 @@ def test_detects_a_second_raiser():
               "        raise F('y')\n\n"
               "def c():\n    raise F\n")
     assert raising_functions(source, "E") == {"a", "b"}
+
+
+def indented_dumps(source):
+    """Lines of the json.dumps and json.dump calls, under any name imported
+    from json, that pass indent: with indent set, json runs its
+    pure-Python encoder."""
+    tree = ast.parse(source)
+    names = {"dumps", "dump"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            names |= {alias.asname for alias in node.names
+                      if alias.name in ("dumps", "dump") and alias.asname}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in names:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_json_dumps_call_passes_indent():
+    calls = []
+    for path in MODULES + [Path(liecohom.__file__)]:
+        calls += ["%s:%d" % (path.name, line)
+                  for line in indented_dumps(path.read_text(encoding="utf-8"))]
+    assert calls == []
+
+
+def test_detects_an_indented_json_dumps():
+    source = ("import json\nfrom json import dumps as to_text, loads\n"
+              "json.dumps(x, indent=2)\n"
+              "json.dumps(x)\n"
+              "print(to_text({'a': 1}, sort_keys=True, indent=None))\n"
+              "json.dump(x, fh, indent=4)\n"
+              "loads(s)\n"
+              "f(x, indent=2)\n"
+              "json.dumps(x, separators=(',', ':'))\n")
+    assert indented_dumps(source) == [3, 5, 6]
