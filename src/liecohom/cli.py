@@ -327,6 +327,9 @@ def _ascii(text, spelling, value):
 
 
 def _seed_type(text):
+    # 2^64 has 20 digits: refuse a longer one by its length, unconverted
+    if text.isascii() and text.isdigit() and len(text.lstrip("0")) > 20:
+        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
     value = _read(int, text, "an integer")
     if not (0 <= value < 2**64):
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")

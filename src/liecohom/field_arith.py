@@ -8,7 +8,10 @@ numerator and denominator coprime, denominator monic, zero stored as 0/1.
 It is kept by a polynomial gcd only where reduction is not already
 guaranteed: negation, reciprocals, powers and constants are canonical by
 construction, and sums and products of reduced fractions use Henrici's
-gcd splitting, which skips every gcd with a constant argument.
+gcd splitting, which skips every gcd with a constant argument.  Each of
+its polynomials, a Poly, stores integer numerators over one positive
+integer denominator coprime to their content, so polynomial arithmetic
+runs on ints: pseudo-division, and gcds by primitive remainder sequences.
 
 No other module eliminates, and elimination runs on sparse rows: a row is
 a dict {key: nonzero scalar} whose lead is min(row), so a step touches
@@ -43,7 +46,7 @@ Fraction(3, 4)
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     DimensionMismatch,
@@ -57,111 +60,116 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
 # ---------------------------------------------------------------------------
-# polynomials with Fraction coefficients
+# polynomials: integer numerators over one denominator
 
 class Poly:
-    """Univariate polynomial over Q; coeffs ascending, no trailing zeros."""
+    """Univariate polynomial over Q, stored as integer numerators over one
+    denominator: ints ascending with no trailing zero, and denom > 0 and
+    coprime to their content, so equal polynomials are stored alike.
 
-    __slots__ = ("coeffs",)
+    Every operation runs on ints (Knuth, TAOCP vol. 2, 4.6.1): a sum or
+    product takes one gcd to restore the form, divmod pseudo-divides, and
+    poly_gcd follows a primitive remainder sequence.  coeffs is a read-only
+    view of the coefficients as Fractions.
+    """
+
+    __slots__ = ("ints", "denom")
 
     def __init__(self, coeffs=()):
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        # over the least common denominator the content is coprime to it
+        den = lcm(*(c.denominator for c in cs))
+        self.ints = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.denom = den
 
     @classmethod
     def const(cls, c):
-        return cls((Fraction(c),))
+        if not c:
+            return _POLY_ZERO
+        if isinstance(c, int):
+            return _stored_poly((c,), 1)
+        return _stored_poly((c.numerator,), c.denominator)
+
+    @property
+    def coeffs(self):
+        den = self.denom
+        return tuple(Fraction(c, den) for c in self.ints)
 
     @property
     def degree(self):
         # degree of the zero polynomial is -1 by convention
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self.ints[-1], self.denom) if self.ints else Fraction(0)
 
     def monic(self):
-        if self.is_zero or self.leading == 1:
+        ints = self.ints
+        if not ints or ints[-1] == self.denom:
             return self
-        inv = 1 / self.leading
-        return Poly(tuple(c * inv for c in self.coeffs))
+        return _monic_ints(ints)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return _poly_sum(self, other, 1)
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return _stored_poly(tuple(-c for c in self.ints), self.denom)
 
     def __sub__(self, other):
-        return self + (-other)
+        return _poly_sum(self, other, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Poly()
-            return Poly(tuple(c * other for c in self.coeffs))
-        if self.is_zero or other.is_zero:
-            return Poly()
-        if len(other.coeffs) == 1:
-            return self * other.coeffs[0]
-        if len(self.coeffs) == 1:
-            return other * self.coeffs[0]
-        # integer numerators over one denominator: a gcd per coefficient of
-        # the product, not a Fraction product per pair of terms
-        na, da = _cleared(QQ, self.coeffs)
-        nb, db = _cleared(QQ, other.coeffs)
-        out = [0] * (len(na) + len(nb) - 1)
-        for i, a in enumerate(na):
-            if a:
-                for j, b in enumerate(nb):
-                    out[i + j] += a * b
-        den = da * db
-        return Poly(tuple(Fraction(x, den) for x in out))
+            n = other.numerator
+            return _canonical_poly([c * n for c in self.ints], self.denom * other.denominator)
+        a, b = self.ints, other.ints
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) <= 1:
+            c = b[0] if b else 0
+            return _canonical_poly([x * c for x in a], self.denom * other.denom)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _canonical_poly(out, self.denom * other.denom)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
-        if other.is_zero:
+        b = other.ints
+        if not b:
             raise DivisionByZero("polynomial division by zero")
-        m = other.degree
-        low = other.coeffs[:m]
-        inv_lead = 1 / other.leading
-        r = list(self.coeffs)
-        q = [Fraction(0)] * max(len(r) - m, 0)
-        for k in range(len(q) - 1, -1, -1):
-            c = r[k + m] * inv_lead
-            if c:
-                q[k] = c
-                for j, b in enumerate(low):
-                    r[k + j] -= c * b
-        return Poly(q), Poly(r[:m])
+        m = len(b) - 1
+        if len(self.ints) <= m:
+            return _POLY_ZERO, self
+        # s * self.ints = q * b + r, so self = (q db / (s da)) other + r / (s da)
+        s, q, r = _pseudo_divide(self.ints, b)
+        den = s * self.denom
+        db = other.denom
+        return _canonical_poly([c * db for c in q], den), _canonical_poly(r, den)
 
     def __floordiv__(self, other):
-        return divmod(self, other)[0]
+        return self.__divmod__(other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        return self.__divmod__(other)[1]
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.ints == other.ints and self.denom == other.denom
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ints, self.denom))
 
     def __bool__(self):
         return not self.is_zero
@@ -170,24 +178,117 @@ class Poly:
         return "Poly(%r)" % (self.coeffs,)
 
 
-_POLY_ONE = Poly((1,))
+def _stored_poly(ints, den):
+    """Wrap a tuple of ints over den, which the caller guarantees canonical."""
+    p = object.__new__(Poly)
+    p.ints = ints
+    p.denom = den
+    return p
+
+
+def _canonical_poly(ints, den):
+    """The Poly ints / den for a list of ints and an int den > 0: trailing
+    zeros dropped, and one gcd cancelled from the content and den."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return _POLY_ZERO
+    if den != 1:
+        g = gcd(den, *ints)
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+    return _stored_poly(tuple(ints), den)
+
+
+def _poly_sum(p, q, sign):
+    """p + sign * q, over the least common multiple of their denominators."""
+    a, b, da, db = p.ints, q.ints, p.denom, q.denom
+    g = gcd(da, db)
+    fa, fb = db // g, sign * (da // g)
+    if len(a) < len(b):
+        a, fa, b, fb = b, fb, a, fa
+    out = list(a) if fa == 1 else [fa * x for x in a]
+    for i, y in enumerate(b):
+        out[i] += fb * y
+    return _canonical_poly(out, da // g * db)
+
+
+def _pseudo_divide(a, b):
+    """(s, q, r) with s * a = q * b + r and len(r) = deg b, for sequences of ints
+    a and b with len(a) > deg b.  The remainder is scaled by an int s > 0
+    only when the lead of b does not divide its top term, and then only by
+    the part of the lead that does not, so a monic b never scales it."""
+    m = len(b) - 1
+    lead, low = b[m], b[:m]
+    r = list(a)
+    q = [0] * (len(r) - m)
+    s = 1
+    for k in range(len(q) - 1, -1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        if c % lead:
+            f = abs(lead) // gcd(c, lead)
+            r = [x * f for x in r]
+            q = [x * f for x in q]
+            s *= f
+            c *= f
+        t = c // lead
+        q[k] = t
+        for j, y in enumerate(low):
+            r[k + j] -= t * y
+    return s, q, r
+
+
+def _primitive(ints):
+    """Nonzero ints divided by their content."""
+    g = gcd(*ints)
+    return ints if g == 1 else [c // g for c in ints]
+
+
+def _monic_ints(ints):
+    """The monic Poly of a nonzero tuple or list of ints: over its lead, with
+    the content cancelled from both."""
+    lead = ints[-1]
+    g = gcd(*ints)
+    if lead < 0:
+        g = -g
+    return _stored_poly(tuple(c // g for c in ints), lead // g)
+
+
+_POLY_ZERO = _stored_poly((), 1)
+_POLY_ONE = _stored_poly((1,), 1)
 
 
 def poly_gcd(a, b):
-    """Monic gcd by the Euclidean algorithm, renormalizing every step."""
-    while not b.is_zero:
-        a, b = b, a % b
-        if not b.is_zero:
-            b = b.monic()
-    return a.monic()
+    """Monic gcd by a primitive remainder sequence: Euclid's algorithm on
+    integer numerators, each pseudo-remainder divided by its content."""
+    x, y = a.ints, b.ints
+    if not y:
+        return a.monic()
+    if not x:
+        return b.monic()
+    if len(x) < len(y):
+        x, y = y, x
+    y = _primitive(y)
+    while len(y) > 1:
+        r = _pseudo_divide(x, y)[2]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return _monic_ints(y)
+        x, y = y, _primitive(r)
+    return _POLY_ONE
 
 
 def _poly_str(p, var):
     if p.is_zero:
         return "0"
     parts = []
+    coeffs = p.coeffs
     for e in range(p.degree, -1, -1):
-        c = p.coeffs[e]
+        c = coeffs[e]
         if not c:
             continue
         mag = -c if c < 0 else c
@@ -398,7 +499,7 @@ class RationalFunction:
     def __hash__(self):
         if self.is_constant:
             return hash(self.as_fraction())
-        return hash((self.var, self.num.coeffs, self.den.coeffs))
+        return hash((self.var, self.num, self.den))
 
     def __bool__(self):
         return not self.num.is_zero

@@ -48,9 +48,10 @@ def strictly_upper(N):
 
 
 def rebased(L, P):
-    """L in the basis f_i = sum_a P[a][i] e_a, for an invertible P over Q."""
+    """L in the basis f_i = sum_a P[a][i] e_a, for an invertible P over Q,
+    over L's field."""
     n = L.dim
-    cols = [[Fraction(P[a][i]) for a in range(n)] for i in range(n)]
+    cols = [[L.field.coerce(Fraction(P[a][i])) for a in range(n)] for i in range(n)]
     table = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -58,7 +59,7 @@ def rebased(L, P):
             terms = {k: c for k, c in enumerate(image, start=1) if c}
             if terms:
                 table[(i, j)] = terms
-    return LieAlgebra(L.name + "_rebased", n, QQ, table)
+    return LieAlgebra(L.name + "_rebased", n, L.field, table)
 
 
 def solv(n, var="a"):

@@ -8,6 +8,8 @@ Only the structure-constant data of a LieAlgebra object is read.
 Rational functions in Q(a) are pairs of Fraction coefficient lists,
 reduced by their own Euclidean algorithm; QaScalar wraps such a pair
 with the ring operations that the Jacobiator of a Q(a) algebra needs.
+FractionPoly is the package's earlier polynomial class, one Fraction per
+coefficient, kept as the reference for the integer-numerator storage.
 """
 
 from fractions import Fraction
@@ -271,3 +273,105 @@ class QaScalar:
 
     def __bool__(self):
         return bool(self.num)
+
+
+# ---------------------------------------------------------------------------
+# Q[a]: the package's earlier Poly, which stored one Fraction per coefficient
+
+
+class FractionPoly:
+    """Univariate polynomial over Q; coeffs ascending Fractions, no trailing
+    zeros.  Every operation works coefficient by coefficient in Fraction
+    arithmetic: schoolbook products, long division by the leading
+    coefficient's inverse, and a Euclidean gcd made monic every step."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        self.coeffs = tuple(_trim(coeffs))
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    @property
+    def leading(self):
+        return self.coeffs[-1] if self.coeffs else Fraction(0)
+
+    def monic(self):
+        if self.is_zero or self.leading == 1:
+            return self
+        inv = 1 / self.leading
+        return FractionPoly(c * inv for c in self.coeffs)
+
+    def __add__(self, other):
+        return FractionPoly(poly_add(list(self.coeffs), list(other.coeffs)))
+
+    def __neg__(self):
+        return FractionPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionPoly(c * other for c in self.coeffs)
+        return FractionPoly(poly_mul(list(self.coeffs), list(other.coeffs)))
+
+    def __divmod__(self, other):
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        m = other.degree
+        inv_lead = 1 / other.leading
+        r = list(self.coeffs)
+        q = [Fraction(0)] * max(len(r) - m, 0)
+        for k in range(len(q) - 1, -1, -1):
+            c = r[k + m] * inv_lead
+            q[k] = c
+            for j, b in enumerate(other.coeffs):
+                r[k + j] -= c * b
+        return FractionPoly(q), FractionPoly(r[:m])
+
+    def __eq__(self, other):
+        return isinstance(other, FractionPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __bool__(self):
+        return not self.is_zero
+
+
+def fraction_poly_gcd(a, b):
+    """Monic gcd by the Euclidean algorithm, renormalizing every step."""
+    while not b.is_zero:
+        a, b = b, divmod(a, b)[1]
+        if not b.is_zero:
+            b = b.monic()
+    return a.monic()
+
+
+def rational_function_text(num, den, var):
+    """The text of num/den, canonical FractionPolys, in the package's
+    notation: terms by falling degree, "c*a^e", and "(num)/(den)" unless den
+    is 1."""
+    def poly_text(p):
+        terms = []
+        for e in range(p.degree, -1, -1):
+            c = p.coeffs[e]
+            if not c:
+                continue
+            mag = abs(c)
+            stem = "" if e == 0 else var if e == 1 else "%s^%d" % (var, e)
+            body = str(mag) if not stem else stem if mag == 1 else "%s*%s" % (mag, stem)
+            sign = ("-" if c < 0 else "") if not terms else (" - " if c < 0 else " + ")
+            terms.append(sign + body)
+        return "".join(terms) or "0"
+
+    if den.coeffs == (1,):
+        return poly_text(num)
+    return "(%s)/(%s)" % (poly_text(num), poly_text(den))

@@ -753,6 +753,30 @@ def test_cohomology_filiform_12():
             assert d_apply(L, f).is_zero
 
 
+def random_sign_matrix(seed, n):
+    """A seeded invertible n x n matrix with entries in {-1, 0, 1}."""
+    rng = random.Random(seed)
+    while True:
+        P = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(n)]
+        if _oracle.gauss_rank([[Fraction(x) for x in row] for row in P]) == n:
+            return P
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("n", [5, 6])
+def test_cohomology_of_rebased_solv_over_qa(n, seed):
+    # a change of basis makes d dense over Q(a), and the cohomology of
+    # solv_n stays [1, 1, 0, ...]; every representative is a cocycle
+    L = rebased(solv(n), random_sign_matrix(seed, n))
+    assert L.field == FA and len(L.brackets) > n - 1
+    assert any(c.num.degree == 1 for terms in L.brackets.values() for c in terms.values())
+    rep = cohomology(L)
+    assert rep.betti == [1, 1] + [0] * (n - 1)
+    for forms in rep.representatives:
+        for f in forms:
+            assert d_apply(L, f).is_zero
+
+
 def test_cohomology_abelian_binomials():
     for n in range(0, 7):
         rep = cohomology(LieAlgebra.abelian("a%d" % n, n, QQ))

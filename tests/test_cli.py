@@ -602,6 +602,27 @@ def test_numeric_options_past_the_int_digit_limit(tmp_path, capsys):
     assert "betti: 1 2" in capsys.readouterr().out
 
 
+def test_a_long_seed_is_refused_by_its_length(monkeypatch, capsys):
+    # past 20 digits after the leading zeros a seed is refused unconverted;
+    # leading zeros do not count, so 000...05 runs seed 5
+    def unread(*args):
+        raise AssertionError("a seed past 20 digits was converted")
+
+    monkeypatch.setattr(liecohom.cli, "_read", unread)
+    for digits in ["9" * 131_000, "0" * 50 + "1" + "0" * 20]:
+        with pytest.raises(SystemExit) as exc_info:
+            main(["selftest", "--seed", digits])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed must fit in 64 bits" in captured.err
+    monkeypatch.undo()
+    for digits in [str(2**64), "0" * 5000 + str(2**64)]:
+        with pytest.raises(SystemExit):
+            main(["selftest", "--seed", digits])
+        assert "seed must fit in 64 bits" in capsys.readouterr().err
+    assert liecohom.cli._PARSER.parse_args(["selftest", "--seed", "0" * 131_000 + "5"]).seed == 5
+
+
 # --help, an unknown option and no arguments, at the top level and for
 # each subcommand; cli_surface.json holds their stdout, stderr and exit
 # code as printed at 80 columns by the Python version it names

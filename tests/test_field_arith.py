@@ -1,7 +1,7 @@
 import builtins
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -29,6 +29,7 @@ from liecohom.field_arith import (
     _sparse_row,
     format_scalar,
     parse_scalar,
+    poly_gcd,
     rank,
     rank_and_kernel,
     scalar_arith,
@@ -836,3 +837,148 @@ def test_fast_paths_take_no_gcd(monkeypatch):
     big = parse_scalar("(a+1)^300", FA)
     assert big.den.coeffs == (1,)
     assert big.num.coeffs == tuple(comb(300, k) for k in range(301))
+
+
+# ---------------------------------------------------------------------------
+# Poly's integer storage against the Fraction-coefficient reference
+
+
+def _random_coeffs(rng, most=6):
+    """Up to most coefficients, trailing zeros included now and then: zero,
+    constants, mixed signs, small and large numerators and denominators."""
+    return [Fraction(rng.choice([0, 0, 1, -1, rng.randint(-9, 9), rng.randint(-10**6, 10**6)]),
+                     rng.choice([1, 1, 2, 3, 6, rng.randint(1, 10**4)]))
+            for _ in range(rng.randint(0, most))]
+
+
+def _nonzero_reference(rng, most):
+    while True:
+        p = _oracle.FractionPoly(_random_coeffs(rng, most))
+        if p:
+            return p
+
+
+def _assert_canonical(p):
+    """Integer numerators without a trailing zero over a positive
+    denominator coprime to their content; zero is () over 1."""
+    assert type(p) is Poly
+    assert type(p.ints) is tuple and all(type(c) is int for c in p.ints)
+    assert type(p.denom) is int and p.denom > 0
+    assert gcd(p.denom, *p.ints) == 1
+    assert not p.ints or p.ints[-1]
+
+
+def test_poly_matches_the_fraction_coefficient_reference():
+    # +, -, *, scalar *, divmod, monic, poly_gcd, == and hash on polynomials
+    # of degree <= 5, a third of the pairs sharing a factor of degree 1 or 2
+    rng = random.Random(24)
+    ref, ref_gcd = _oracle.FractionPoly, _oracle.fraction_poly_gcd
+    seen = set()
+    for _ in range(2000):
+        rp, rq = ref(_random_coeffs(rng)), ref(_random_coeffs(rng))
+        if rng.random() < 0.3:
+            f = _nonzero_reference(rng, 3)
+            rp, rq = ref(_random_coeffs(rng, 4)) * f, ref(_random_coeffs(rng, 4)) * f
+        p, q = Poly(rp.coeffs), Poly(rq.coeffs)
+        c = rng.choice([0, 1, -1, 3, Fraction(-2, 7), Fraction(5, 4)])
+        g = poly_gcd(p, q)
+        checks = [(p, rp), (q, rq), (p + q, rp + rq), (p - q, rp - rq), (p * q, rp * rq),
+                  (-p, -rp), (p * c, rp * c), (c * p, rp * c), (p.monic(), rp.monic()),
+                  (g, ref_gcd(rp, rq))]
+        if q:
+            quo, rem = divmod(p, q)
+            assert quo * q + rem == p and rem.degree < q.degree
+            rquo, rrem = divmod(rp, rq)
+            checks += [(quo, rquo), (rem, rrem), (p // q, rquo), (p % q, rrem)]
+        for got, expected in checks:
+            _assert_canonical(got)
+            assert got.coeffs == expected.coeffs and got.degree == expected.degree
+            assert all(type(x) is Fraction for x in got.coeffs)
+            assert got.leading == expected.leading
+            again = Poly(got.coeffs)
+            assert got == again and hash(got) == hash(again)
+        assert (p == q) == (rp == rq) and (p - q == Poly()) == (rp == rq)
+        seen.add((p.degree, rp.leading < 0, p.denom > 1, g.degree > 0,
+                  bool(q) and abs(q.ints[-1]) > 1))
+    degrees = {d for d, *_ in seen}
+    assert degrees >= set(range(-1, 6))
+    # negative leads, non-trivial denominators, shared factors, and divisors
+    # whose lead is not a unit, so pseudo-division scales the remainder
+    for flag in range(1, 5):
+        assert {key[flag] for key in seen} == {False, True}
+
+
+def _reference_fraction(num, den):
+    """The canonical reference pair of num/den: coprime, den monic."""
+    if not num:
+        return _oracle.FractionPoly(), _oracle.FractionPoly([1])
+    g = _oracle.fraction_poly_gcd(num, den)
+    num, den = divmod(num, g)[0], divmod(den, g)[0]
+    inv = 1 / den.leading
+    return num * inv, den * inv
+
+
+def _reference_power(num, den, e):
+    if e < 0:
+        num, den, e = den, num, -e
+    out_num = out_den = _oracle.FractionPoly([1])
+    for _ in range(e):
+        out_num, out_den = out_num * num, out_den * den
+    return _reference_fraction(out_num, out_den)
+
+
+def test_rational_functions_match_the_fraction_coefficient_reference():
+    # +, -, *, /, ** and str; denominators drawn from a few factors, so
+    # pairs share some, and numerators that cancel against them
+    rng = random.Random(25)
+    ref = _oracle.FractionPoly
+    factors = [ref([0, 1]), ref([1, 1]), ref([-3, 2]), ref([1, 0, 1]),
+               ref([Fraction(1, 2), Fraction(-5, 3)])]
+
+    def operand():
+        num = ref(_random_coeffs(rng, 4))
+        den = _nonzero_reference(rng, 2)
+        for f in rng.sample(factors, rng.randint(0, 2)):
+            num = num * f
+        for f in rng.sample(factors, rng.randint(0, 2)):
+            den = den * f
+        x = RationalFunction("a", Poly(num.coeffs), Poly(den.coeffs))
+        return x, _reference_fraction(num, den)
+
+    def check(got, pair):
+        num, den = pair
+        for part in (got.num, got.den):
+            _assert_canonical(part)
+        assert got.num.coeffs == num.coeffs and got.den.coeffs == den.coeffs
+        assert str(got) == _oracle.rational_function_text(num, den, "a")
+        again = RationalFunction("a", Poly(num.coeffs), Poly(den.coeffs))
+        assert got == again and hash(got) == hash(again)
+        if got.is_constant:
+            assert hash(got) == hash(got.as_fraction())
+
+    shapes = set()
+    for _ in range(1000):
+        (x, (n1, d1)), (y, (n2, d2)) = operand(), operand()
+        if rng.random() < 0.2:
+            # x + y is then y's operand, so its sum cancels x's denominator
+            y, (n2, d2) = y - x, _reference_fraction(n2 * d1 - n1 * d2, d2 * d1)
+        check(x, (n1, d1))
+        check(y, (n2, d2))
+        e = rng.randint(-3, 3)
+        cases = [(x + y, n1 * d2 + n2 * d1, d1 * d2), (x - y, n1 * d2 - n2 * d1, d1 * d2),
+                 (x * y, n1 * n2, d1 * d2)]
+        for got, num, den in cases:
+            check(got, _reference_fraction(num, den))
+        if y:
+            check(x / y, _reference_fraction(n1 * d2, d1 * n2))
+        if x or e >= 0:
+            check(x ** e, _reference_power(n1, d1, e))
+        shared = poly_gcd(x.den, y.den).degree
+        shapes.add((x.num.degree, x.den.degree > 0, shared > 0,
+                    (x + y).den.degree < x.den.degree + y.den.degree - shared,
+                    (x * y).den.degree < x.den.degree + y.den.degree))
+    assert {n for n, *_ in shapes} >= set(range(-1, 4))
+    # constant and other denominators, pairs that share a denominator
+    # factor, and sums and products that cancel past it
+    for flag in range(1, 5):
+        assert {key[flag] for key in shapes} == {False, True}

@@ -200,13 +200,14 @@ def test_detects_an_echelon_built_or_read_by_hand():
 
 
 SCALAR_INSIDES = {"Poly", "RationalFunction", "_POLY_ONE", "poly_gcd"}
-SCALAR_PARTS = {"num", "den", "numerator", "denominator"}
+# a Poly keeps integer numerators ints over one integer denominator denom
+SCALAR_PARTS = {"num", "den", "numerator", "denominator", "ints", "denom"}
 
 
 def scalar_insides(source):
     """(line, name) of every import or use of field_arith's polynomial and
     rational-function names, and of every read of a numerator or
-    denominator attribute."""
+    denominator attribute, a Poly's integer storage included."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and node.id in SCALAR_INSIDES:
@@ -235,10 +236,13 @@ def test_detects_a_look_inside_a_scalar():
               "def f(x, fa):\n"
               "    return x.numerator, x.den, fa.poly_gcd, format_scalar(x)\n"
               "def g(x):\n"
-              "    return x.denominators, x.numer, _POLY_ONE * RationalFunction\n")
+              "    return x.denominators, x.numer, _POLY_ONE * RationalFunction\n"
+              "def h(x, ints, denom):\n"
+              "    return x.num.ints, x.den.denom, x.num.coeffs, ints, denom\n")
     assert scalar_insides(source) == [(1, "Poly"), (4, "den"), (4, "numerator"),
                                       (4, "poly_gcd"), (6, "RationalFunction"),
-                                      (6, "_POLY_ONE")]
+                                      (6, "_POLY_ONE"), (8, "den"), (8, "denom"),
+                                      (8, "ints"), (8, "num")]
 
 
 def raising_functions(source, error):
