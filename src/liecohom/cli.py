@@ -5,15 +5,17 @@ stdout, diagnostics to stderr.  Exit codes: 0 success, 1 Jacobi violation,
 2 not an ideal, 3 parse error or unknown key, 4 dimension cap exceeded,
 5 selftest failure, 6 an internal consistency check failed (a bug: the
 report would be wrong, so none is printed).  One parser serves every call,
-and one writer, _json_text, prints every indented --json payload.
+and one writer, _json_text, prints every indented --json payload.  The
+selftest and catalog modules run only when a command reads them, so
+importing cli runs neither.
 """
 
 import argparse
+import importlib.util
 import json
 import math
 import sys
 
-from .catalog import catalog_entry, catalog_keys, describe
 from .ce_complex import DEFAULT_MAX_DIM, cohomology
 from .errors import (
     DimensionCapExceeded,
@@ -27,7 +29,6 @@ from .field_arith import _int_of_digits, format_scalar
 from .lie_core import algebra_from_json, ideal_check, jacobi_check
 from .mc_numeric import DEFAULT_STEP, DEFAULT_TOL
 from .quotient_pipeline import dense_quotient_cohomology, pipeline_input_from_json
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_JACOBI = 1
@@ -37,6 +38,24 @@ EXIT_DIM_CAP = 4
 EXIT_SELFTEST = 5
 EXIT_INTERNAL = 6
 
+
+def _lazy_import(name):
+    """The package's submodule name, entered in sys.modules at once but run
+    only on its first attribute access (importlib's LazyLoader)."""
+    fullname = "%s.%s" % (__package__, name)
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+catalog = _lazy_import("catalog")
+selftest = _lazy_import("selftest")
 
 _quote = json.encoder.encode_basestring_ascii
 
@@ -267,14 +286,14 @@ def cmd_quotient(args):
 def cmd_catalog(args):
     if args.action == "list":
         if args.json:
-            print(_json_text({"keys": catalog_keys()}))
+            print(_json_text({"keys": catalog.catalog_keys()}))
         else:
-            for key in catalog_keys():
-                print("%s: %s" % (key, describe(key)))
+            for key in catalog.catalog_keys():
+                print("%s: %s" % (key, catalog.describe(key)))
         return EXIT_OK
     if args.key is None:
         raise ParseError("catalog show needs a key")
-    entry = catalog_entry(args.key)
+    entry = catalog.catalog_entry(args.key)
     if args.doc:
         # just the input document, ready to feed back to the other commands
         print(_json_text(entry.document))
@@ -295,7 +314,7 @@ def cmd_catalog(args):
 
 
 def cmd_selftest(args):
-    ok = run_selftest(seed=args.seed, tol=args.tol, step=args.step)
+    ok = selftest.run_selftest(seed=args.seed, tol=args.tol, step=args.step)
     return EXIT_OK if ok else EXIT_SELFTEST
 
 

@@ -86,6 +86,8 @@ class Poly:
 
     @classmethod
     def const(cls, c):
+        if type(c) is not int and not isinstance(c, Fraction):
+            c = Fraction(c)
         if not c:
             return _POLY_ZERO
         if isinstance(c, int):

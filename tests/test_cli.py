@@ -684,6 +684,42 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
     assert proc.stdout.splitlines()[-2:] == ["[0, 0] False", "maurer_cartan_check"]
 
 
+def test_importing_cli_runs_neither_selftest_nor_catalog(tmp_path):
+    # both are in sys.modules from the start, but run on first use only
+    script = (
+        "import sys\n"
+        "import liecohom.cli as cli\n"
+        "def kinds():\n"
+        "    return ' '.join(type(sys.modules['liecohom.' + n]).__name__\n"
+        "                    for n in ('catalog', 'selftest'))\n"
+        "print('start', kinds())\n"
+        "codes = [cli.main(['cohomology', sys.argv[1]]), cli.main(['quotient', sys.argv[2]])]\n"
+        "print('exact', codes, kinds())\n"
+        "codes = [cli.main(['catalog', 'show', 'so3', '--doc'])]\n"
+        "print('catalog', codes, kinds())\n"
+        "import liecohom.selftest as selftest\n"
+        "print('selftest', selftest.run_selftest.__name__, kinds())\n"
+        "import liecohom\n"
+        "print('package', liecohom.catalog is sys.modules['liecohom.catalog'])\n"
+    )
+    src = str(Path(liecohom.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, write_doc(tmp_path, so3_doc()),
+         write_doc(tmp_path, heis_pipeline_doc(), name="pipeline.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    tagged = [line for line in proc.stdout.splitlines()
+              if line.split(" ")[0] in ("start", "exact", "catalog", "selftest", "package")]
+    assert tagged == [
+        "start _LazyModule _LazyModule",
+        "exact [0, 0] _LazyModule _LazyModule",
+        "catalog [0] module _LazyModule",
+        "selftest run_selftest module module",
+        "package True",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # selftest
 

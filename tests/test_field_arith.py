@@ -1,5 +1,6 @@
 import builtins
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -77,6 +78,16 @@ def test_canonical_forms():
     assert not z
     assert format_scalar(z) == "0"
     assert (A - A).den.degree == 0
+
+
+@pytest.mark.parametrize("value", [0.5, "1/2", Decimal("0.5"), Fraction(1, 2)],
+                         ids=["float", "str", "Decimal", "Fraction"])
+def test_constants_take_what_fraction_takes(value):
+    half = RationalFunction("a", value)
+    assert half == RationalFunction("a", Fraction(1, 2))
+    assert half.num.ints == (1,) and half.num.denom == 2
+    assert Poly.const(value) == Poly((Fraction(1, 2),))
+    assert RationalFunction("a", True, 2) == half
 
 
 def test_parse_examples():
