@@ -16,8 +16,7 @@ from math import comb
 from .ce_complex import DEFAULT_MAX_DIM
 from .errors import ParseError
 from .field_arith import _int_of_digits, format_scalar
-from .lie_core import algebra_from_json
-from .quotient_pipeline import pipeline_input_from_json
+from .quotient_pipeline import DenseQuotientInput, document_from_json
 
 _ABELIAN_RE = re.compile(r"abelian_(\d+)\Z", re.ASCII)
 
@@ -189,7 +188,7 @@ def catalog_entry(key):
             raise ParseError("abelian dimension %s exceeds cap %d"
                              % (format_scalar(n), DEFAULT_MAX_DIM))
         doc = _abelian_doc(n)
-        return CatalogEntry("abelian_%d" % n, algebra_from_json(doc), None,
+        return CatalogEntry("abelian_%d" % n, document_from_json(doc), None,
                             [comb(n, k) for k in range(n + 1)], _ENTRIES["abelian_n"][3], doc)
     if key not in _ENTRIES:
         raise ParseError("unknown catalog key %r" % (key,))
@@ -197,10 +196,10 @@ def catalog_entry(key):
     # each entry parses and keeps its own copy, so a caller's edit reaches
     # neither the shipped document nor any later entry
     doc = copy.deepcopy(shipped)
-    if "algebra" in doc:
-        inp = pipeline_input_from_json(doc)
-        return CatalogEntry(key, inp.algebra, inp.ideal, betti, inp.note, doc)
-    return CatalogEntry(key, algebra_from_json(doc), None, betti, note, doc)
+    parsed = document_from_json(doc)
+    if isinstance(parsed, DenseQuotientInput):
+        return CatalogEntry(key, parsed.algebra, parsed.ideal, betti, parsed.note, doc)
+    return CatalogEntry(key, parsed, None, betti, note, doc)
 
 
 def selftest_entries():

@@ -34,6 +34,9 @@ transpose, and wraps each representative row as a form without
 re-checking it; it forms no Matrix.  ce_differential lays the same
 columns out as a dense Matrix for outside callers, and form_from_vector,
 which checks its data, is for them too.
+
+_check_degree is the one function that refuses a form degree: one that is
+not a nonnegative integer, or one past the algebra's dimension.
 """
 
 from itertools import combinations, islice
@@ -46,7 +49,6 @@ from .errors import (
     DimensionMismatch,
     InternalCheckFailed,
     JacobiViolation,
-    MixedFields,
 )
 from .field_arith import (
     Matrix,
@@ -58,15 +60,18 @@ from .field_arith import (
     _sparse_row,
     format_scalar,
 )
-from .lie_core import _integral, jacobi_check
+from .lie_core import _check_same_space, _integral, jacobi_check
 
 DEFAULT_MAX_DIM = 20
 
 
-def _check_degree(k):
-    """Raise DegreeOutOfRange unless k is a nonnegative integer."""
+def _check_degree(k, n=None):
+    """Raise DegreeOutOfRange unless k is a nonnegative integer, at most n
+    when n is given."""
     if not _integral(k) or k < 0:
         raise DegreeOutOfRange("form degree must be a nonnegative integer, got %r" % (k,))
+    if n is not None and k > n:
+        raise DegreeOutOfRange("degree %d exceeds dimension %d" % (k, n))
 
 
 def index_tuples(n, k):
@@ -129,16 +134,10 @@ class ExteriorForm:
     def is_zero(self):
         return not self.coeffs
 
-    def _compatible(self, other):
-        if self.field != other.field:
-            raise MixedFields("forms over different fields")
-        if self.ambient != other.ambient:
-            raise DimensionMismatch("forms on different ambient spaces")
-
     def __add__(self, other):
         if not isinstance(other, ExteriorForm):
             return NotImplemented
-        self._compatible(other)
+        _check_same_space("forms", self.ambient, self.field, other.ambient, other.field)
         if self.degree != other.degree:
             raise DimensionMismatch("cannot add forms of different degrees")
         out = dict(self.coeffs)
@@ -280,7 +279,7 @@ def _merge_sign(lhs, rhs):
 
 def wedge(a, b):
     """Exterior product; tuples sharing an index contribute nothing."""
-    a._compatible(b)
+    _check_same_space("forms", a.ambient, a.field, b.ambient, b.field)
     out = {}
     for idx_a, ca in a.coeffs.items():
         set_a = set(idx_a)
@@ -309,7 +308,7 @@ def shuffle_eval(alpha, beta, args):
     """
     if alpha.degree != 2:
         raise ArityMismatch("shuffle evaluation needs a 2-form on the left")
-    alpha._compatible(beta)
+    _check_same_space("forms", alpha.ambient, alpha.field, beta.ambient, beta.field)
     k = beta.degree + 1
     if len(args) != k + 1:
         raise ArityMismatch(
@@ -388,14 +387,8 @@ def d_apply(L, form):
     a caller applying d to many forms of one algebra, like the chain-iso
     check, calls with one 1-form table.
     """
-    n = L.dim
-    if form.ambient != n:
-        raise DimensionMismatch("form lives on ambient %d, algebra has dim %d" % (form.ambient, n))
-    if form.field != L.field:
-        raise MixedFields("form and algebra over different fields")
-    k = form.degree
-    if k > n:
-        raise DegreeOutOfRange("degree %d exceeds dimension %d" % (k, n))
+    _check_same_space("form and algebra", form.ambient, form.field, L.dim, L.field)
+    _check_degree(form.degree, L.dim)
     return _d_form(_one_form_differentials(L), form)
 
 
@@ -427,10 +420,8 @@ def _d_columns(dt, n, k):
 def ce_differential(L, k):
     """CoboundaryMatrix in degree k, shape C(n, k+1) x C(n, k): the sparse
     columns of _d_columns laid out densely."""
-    _check_degree(k)
+    _check_degree(k, L.dim)
     n = L.dim
-    if k > n:
-        raise DegreeOutOfRange("degree %d out of range for dimension %d" % (k, n))
     row_index = {J: r for r, J in enumerate(index_tuples(n, k + 1))}
     columns = _d_columns(_one_form_differentials(L), n, k)
     ncols = len(columns)
@@ -514,14 +505,8 @@ def horizontal_basis(L, h, k):
       tuple of the degree-k system, and as there are C(n - dim h, k) of
       them they are all the free tuples, each with its unique kernel vector.
     """
-    n = L.dim
-    if h.ambient_dim != n:
-        raise DimensionMismatch("subspace ambient %d, algebra dim %d" % (h.ambient_dim, n))
-    if h.field != L.field:
-        raise MixedFields("subspace and algebra over different fields")
-    _check_degree(k)
-    if k > n:
-        raise DegreeOutOfRange("degree %d out of range for dimension %d" % (k, n))
+    _check_same_space("subspace and algebra", h.ambient_dim, h.field, L.dim, L.field)
+    _check_degree(k, L.dim)
     return list(next(islice(_horizontal_powers(L, h), k, None), {}).values())
 
 

@@ -26,9 +26,9 @@ from .errors import (
     ParseError,
 )
 from .field_arith import _int_of_digits, format_scalar
-from .lie_core import algebra_from_json, ideal_check, jacobi_check
+from .lie_core import ideal_check, jacobi_check
 from .mc_numeric import DEFAULT_STEP, DEFAULT_TOL
-from .quotient_pipeline import dense_quotient_cohomology, pipeline_input_from_json
+from .quotient_pipeline import DenseQuotientInput, dense_quotient_cohomology, document_from_json
 
 EXIT_OK = 0
 EXIT_JACOBI = 1
@@ -164,9 +164,7 @@ def _load_document(path):
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be a JSON object")
     try:
-        if "algebra" in doc:
-            return pipeline_input_from_json(doc)
-        return algebra_from_json(doc)
+        return document_from_json(doc)
     except Error as exc:
         raise ParseError(str(exc)) from exc
 
@@ -210,7 +208,7 @@ def _print_witness(witness, as_json):
 
 def cmd_validate(args):
     parsed = _load_document(args.path)
-    if hasattr(parsed, "algebra"):
+    if isinstance(parsed, DenseQuotientInput):
         algebra, ideal = parsed.algebra, parsed.ideal
     else:
         algebra, ideal = parsed, None
@@ -249,7 +247,7 @@ def _report_lines(report, with_representatives):
 
 def cmd_cohomology(args):
     parsed = _load_document(args.path)
-    if hasattr(parsed, "algebra"):
+    if isinstance(parsed, DenseQuotientInput):
         raise ParseError("document carries an ideal; use the quotient command")
     report = cohomology(parsed, max_dim=args.max_dim)
     if args.json:
@@ -262,7 +260,7 @@ def cmd_cohomology(args):
 
 def cmd_quotient(args):
     parsed = _load_document(args.path)
-    if not hasattr(parsed, "algebra"):
+    if not isinstance(parsed, DenseQuotientInput):
         raise ParseError("document has no ideal; use the cohomology command")
     report = dense_quotient_cohomology(
         parsed, check_chain_iso=not args.no_chain_iso, max_dim=args.max_dim
@@ -285,6 +283,8 @@ def cmd_quotient(args):
 
 def cmd_catalog(args):
     if args.action == "list":
+        if args.key is not None or args.doc:
+            raise ParseError("catalog list takes no key and no --doc")
         if args.json:
             print(_json_text({"keys": catalog.catalog_keys()}))
         else:

@@ -3,6 +3,9 @@
 An algebra lives over Q or Q(a) and is described by the brackets of basis
 pairs [e_i, e_j] for i < j; everything else follows by bilinearity and
 antisymmetry.  Indices are 1-based here and in every file format.
+
+_check_same_space is the package's one check that two objects live on the
+same F^n: DimensionMismatch first, then MixedFields.
 """
 
 from numbers import Integral
@@ -22,10 +25,19 @@ from .field_arith import (
     _echelon_insert,
     _rank_and_kernel,
     _sparse_row,
-    field_of,
     format_scalar,
     parse_scalar,
 )
+
+
+def _check_same_space(what, ambient, field, other_ambient, other_field):
+    """Raise DimensionMismatch, then MixedFields, unless two objects share
+    their ambient dimension and their field; what names both objects."""
+    if ambient != other_ambient:
+        raise DimensionMismatch("%s: ambient dimensions %s and %s"
+                                % (what, ambient, other_ambient))
+    if field != other_field:
+        raise MixedFields("%s: fields %r and %r" % (what, field, other_field))
 
 
 def _integral(value):
@@ -184,13 +196,11 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "field", "basis")
 
-    def __init__(self, ambient_dim, basis, field=None):
+    def __init__(self, ambient_dim, basis, field):
         if not _integral(ambient_dim) or ambient_dim < 0:
             raise DimensionMismatch("ambient dimension must be a nonnegative integer")
         ambient_dim = int(ambient_dim)
         basis = [list(v) for v in basis]
-        if field is None:
-            field = _infer_field(basis)
         for v in basis:
             if len(v) != ambient_dim:
                 raise DimensionMismatch(
@@ -206,7 +216,7 @@ class Subspace:
         self.basis = basis
 
     @classmethod
-    def zero(cls, ambient_dim, field=QQ):
+    def zero(cls, ambient_dim, field):
         return cls(ambient_dim, [], field)
 
     @property
@@ -224,15 +234,6 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(ambient=%d, size=%d)" % (self.ambient_dim, self.size)
-
-
-def _infer_field(vectors):
-    for v in vectors:
-        for x in v:
-            f = field_of(x)
-            if not f.is_rationals:
-                return f
-    return QQ
 
 
 class QuotientData:
@@ -262,13 +263,7 @@ def ideal_check(L, h):
     outside h.  Only the i of some bracket pair are tried, since
     [e_i, w] = 0 for every other i.
     """
-    if h.ambient_dim != L.dim:
-        raise DimensionMismatch(
-            "subspace ambient dimension %d, algebra dimension %d"
-            % (h.ambient_dim, L.dim)
-        )
-    if h.field != L.field:
-        raise MixedFields("subspace and algebra over different fields")
+    _check_same_space("subspace and algebra", h.ambient_dim, h.field, L.dim, L.field)
     echelon = _echelon(_sparse_row(w) for w in h.basis)
     for i in _bracket_indices(L):
         for w in h.basis:
@@ -324,15 +319,13 @@ def quotient_algebra(L, h):
     return QuotientData(quotient, projection, section)
 
 
-def torus_ideal_from_directions(n, directions, field=None):
+def torus_ideal_from_directions(n, directions, field):
     """Span of one-parameter subgroup directions inside an abelian algebra.
 
     Directions may be dependent; a direction is kept when it leaves the
     span of the directions before it, so earlier vectors are kept.
     """
     directions = [list(v) for v in directions]
-    if field is None:
-        field = _infer_field(directions)
     for v in directions:
         if len(v) != n:
             raise DimensionMismatch(

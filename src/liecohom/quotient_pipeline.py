@@ -30,14 +30,10 @@ from .ce_complex import (
     basis_form,
     wedge,
 )
-from .errors import (
-    DimensionMismatch,
-    InternalCheckFailed,
-    MixedFields,
-    ParseError,
-)
+from .errors import DimensionMismatch, InternalCheckFailed, ParseError
 from .field_arith import _echelon, _echelon_insert, _reduce_against, parse_scalar
 from .lie_core import (
+    _check_same_space,
     _require_keys,
     algebra_from_json,
     algebra_to_json,
@@ -54,12 +50,8 @@ class DenseQuotientInput:
     __slots__ = ("algebra", "ideal", "note")
 
     def __init__(self, algebra, ideal, note=""):
-        if ideal.ambient_dim != algebra.dim:
-            raise DimensionMismatch(
-                "ideal ambient %d, algebra dim %d" % (ideal.ambient_dim, algebra.dim)
-            )
-        if ideal.field != algebra.field:
-            raise MixedFields("ideal and algebra over different fields")
+        _check_same_space("ideal and algebra", ideal.ambient_dim, ideal.field,
+                          algebra.dim, algebra.field)
         self.algebra = algebra
         self.ideal = ideal
         self.note = str(note)
@@ -124,14 +116,9 @@ def pullback_form(projection, sigma):
     Pullback is multiplicative, so a basis form t[J] pulls back to the
     wedge over j in J of the 1-forms pi* t[j] = sum over a of pi[j][a] t[a].
     """
-    q, n = projection.rows, projection.cols
-    if sigma.ambient != q:
-        raise DimensionMismatch(
-            "form on ambient %d, projection maps from %d to %d" % (sigma.ambient, n, q)
-        )
-    if sigma.field != projection.field:
-        raise MixedFields("form and projection over different fields")
-    field = sigma.field
+    _check_same_space("form and projection", sigma.ambient, sigma.field,
+                      projection.rows, projection.field)
+    n, field = projection.cols, sigma.field
     pulled = _pulled_one_forms(projection)
     unit = ExteriorForm._trusted(n, 0, field, {(): field.one})
     terms = []
@@ -268,6 +255,14 @@ def pipeline_input_from_json(doc):
     if not isinstance(note, str):
         raise ParseError("note must be a string")
     return DenseQuotientInput(algebra, ideal, note)
+
+
+def document_from_json(doc):
+    """A pipeline input document, the one kind with an "algebra" key, as a
+    DenseQuotientInput; any other document as a LieAlgebra."""
+    if isinstance(doc, dict) and "algebra" in doc:
+        return pipeline_input_from_json(doc)
+    return algebra_from_json(doc)
 
 
 def pipeline_input_to_json(inp):

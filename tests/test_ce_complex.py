@@ -43,6 +43,7 @@ from liecohom.field_arith import (
 )
 from liecohom.lie_core import (
     LieAlgebra,
+    _check_same_space,
     Subspace,
     bracket,
     jacobi_check,
@@ -300,7 +301,7 @@ def shuffle_by_evaluate(alpha, beta, args):
     """Reference shuffle sum: one public evaluate call per factor of each term."""
     if alpha.degree != 2:
         raise ArityMismatch("shuffle evaluation needs a 2-form on the left")
-    alpha._compatible(beta)
+    _check_same_space("forms", alpha.ambient, alpha.field, beta.ambient, beta.field)
     k = beta.degree + 1
     if len(args) != k + 1:
         raise ArityMismatch("expected %d argument vectors, got %d" % (k + 1, len(args)))

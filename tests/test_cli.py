@@ -90,6 +90,24 @@ def test_validate_pipeline_ok(tmp_path, capsys):
     assert "ideal: ok (dimension 1)" in out
 
 
+@pytest.mark.parametrize("doc, line", [
+    (so3_doc(), '{"status": "ok", "algebra": "so3", "dimension": 3}'),
+    (heis_pipeline_doc(), '{"status": "ok", "algebra": "heisenberg3", "dimension": 3}'),
+], ids=["algebra", "pipeline"])
+def test_validate_json_prints_one_line(doc, line, tmp_path, capsys):
+    assert main(["validate", write_doc(tmp_path, doc), "--json"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (line + "\n", "")
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology", "quotient"])
+def test_a_top_level_array_is_refused(command, tmp_path, capsys):
+    assert main([command, write_doc(tmp_path, [so3_doc()])]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: top-level document must be a JSON object\n"
+
+
 def test_validate_jacobi_violation(tmp_path, capsys):
     path = write_doc(tmp_path, bad_jacobi_doc())
     assert main(["validate", path]) == 1
@@ -249,6 +267,26 @@ def test_cohomology_representatives(tmp_path, capsys):
     assert "degree 3: t[1,2,3]" in out
 
 
+def test_representatives_print_signs_and_wrapped_coefficients(tmp_path, capsys):
+    # [e1,e2] = 2e3, [e1,e3] = e3, [e2,e3] = (a+1)e3 over Q(a): a coefficient
+    # with a sign inside is printed in parentheses
+    doc = {"name": "solv_3a", "dimension": 3, "field": {"rational_function_in": "a"},
+           "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "coeff": "2"}]},
+                        {"i": 1, "j": 3, "terms": [{"k": 3, "coeff": "1"}]},
+                        {"i": 2, "j": 3, "terms": [{"k": 3, "coeff": "a+1"}]}]}
+    assert main(["cohomology", write_doc(tmp_path, doc), "--representatives"]) == 0
+    assert capsys.readouterr().out == (
+        "algebra: solv_3a\n"
+        "dimension: 3\n"
+        "betti: 1 2 1 0\n"
+        "ranks: 0 1 1 0\n"
+        "representatives:\n"
+        "  degree 0: 1\n"
+        "  degree 1: t[1]\n"
+        "  degree 1: t[2]\n"
+        "  degree 2: t[1,3] + (a + 1)*t[2,3]\n")
+
+
 def test_cohomology_json(tmp_path, capsys):
     path = write_doc(tmp_path, so3_doc())
     assert main(["cohomology", "--json", path]) == 0
@@ -356,6 +394,15 @@ def test_catalog_list_json(capsys):
     assert main(["catalog", "list", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["keys"] == list(CATALOG_KEYS)
+
+
+@pytest.mark.parametrize("argv", [["so3"], ["--doc"]], ids=["key", "doc"])
+def test_catalog_list_refuses_a_key_and_doc(argv, capsys):
+    # as catalog show refuses a missing key, list refuses what it cannot use
+    assert main(["catalog", "list"] + argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: catalog list takes no key and no --doc\n"
 
 
 def test_catalog_show(capsys):

@@ -1,10 +1,11 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
-and every docstring example in the package runs.  Three decisions have one
+and every docstring example in the package runs.  Five decisions have one
 owner each: only field_arith builds or looks inside an echelon, only
-field_arith knows how a scalar is stored, and one function raises
-DimensionCapExceeded.  No json.dumps call passes indent: cli's one writer
-prints indented JSON."""
+field_arith knows how a scalar is stored, one function raises
+DimensionCapExceeded, one raises DegreeOutOfRange, and one compares two
+objects' ambient dimensions and fields.  No json.dumps call passes indent:
+cli's one writer prints indented JSON."""
 
 import ast
 import doctest
@@ -278,6 +279,65 @@ def test_detects_a_second_raiser():
               "        raise F('y')\n\n"
               "def c():\n    raise F\n")
     assert raising_functions(source, "E") == {"a", "b"}
+
+
+def test_one_function_refuses_a_form_degree():
+    raisers = []
+    for path in MODULES + [Path(liecohom.__file__)]:
+        raisers += ["%s:%s" % (path.name, name) for name in
+                    sorted(raising_functions(path.read_text(encoding="utf-8"),
+                                             "DegreeOutOfRange"), key=str)]
+    assert raisers == ["ce_complex.py:_check_degree"]
+
+
+def test_detects_a_degree_refused_by_hand():
+    source = ("def _check_degree(k, n=None):\n    raise DegreeOutOfRange('k')\n\n"
+              "def d_apply(L, form):\n    if form.degree > L.dim:\n"
+              "        raise DegreeOutOfRange('past n')\n"
+              "    _check_degree(form.degree, L.dim)\n")
+    assert raising_functions(source, "DegreeOutOfRange") == {"_check_degree", "d_apply"}
+
+
+SPACE_ATTRS = {"field", "ambient", "ambient_dim"}
+
+
+def space_comparisons(source):
+    """Names of the functions with a != whose operand reads a .field,
+    .ambient or .ambient_dim attribute."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Compare)
+                    and any(isinstance(op, ast.NotEq) for op in node.ops)
+                    and any(isinstance(x, ast.Attribute) and x.attr in SPACE_ATTRS
+                            for x in [node.left, *node.comparators])):
+                found.add(func.name)
+    return found
+
+
+def test_only_check_same_space_compares_two_spaces():
+    # lie_core._check_same_space takes both objects' dimensions and fields
+    # as values, so no function of the package compares the attributes
+    compared = []
+    for path in MODULES + [Path(liecohom.__file__)]:
+        compared += ["%s:%s" % (path.name, name) for name in
+                     sorted(space_comparisons(path.read_text(encoding="utf-8")))]
+    assert compared == []
+    source = Path(liecohom.__file__).with_name("lie_core.py").read_text(encoding="utf-8")
+    assert "_check_same_space" in raising_functions(source, "DimensionMismatch")
+    assert "_check_same_space" in raising_functions(source, "MixedFields")
+
+
+def test_detects_a_space_compared_by_hand():
+    source = ("def ideal_check(L, h):\n    if h.field != L.field:\n        raise E\n\n"
+              "class F:\n    def add(self, o):\n        if self.ambient != o.ambient:\n"
+              "            raise E\n\n"
+              "def horizontal(L, h):\n    return L.dim != h.ambient_dim\n\n"
+              "def same(a, b):\n    return a.field == b.field and a.dim != b.dim\n\n"
+              "def lengths(v, ambient):\n    return len(v) != ambient\n")
+    assert space_comparisons(source) == {"add", "horizontal", "ideal_check"}
 
 
 def indented_dumps(source):

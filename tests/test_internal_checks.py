@@ -11,9 +11,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import liecohom
-from liecohom import ce_complex, field_arith, quotient_pipeline
+from liecohom import ce_complex, field_arith, lie_core, mc_numeric, quotient_pipeline
 from liecohom.cli import main
+from liecohom.field_arith import QQ
+from liecohom.lie_core import LieAlgebra
 
 SRC = str(Path(liecohom.__file__).resolve().parent.parent)
 
@@ -139,6 +143,64 @@ def test_cli_quotient_exits_6(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "chain isomorphism check failed" in captured.err
+
+
+ABELIAN_3 = {"name": "abelian_3", "dimension": 3, "field": "Q", "brackets": []}
+HEIS_CENTRE = {"algebra": HEIS, "ideal": {"vectors": [["0", "0", "1"]]}}
+
+
+def _pivot_the_top_form(real):
+    """_rank_and_kernel that reports abelian_3's top-degree kernel vector
+    t[1,2,3] as a pivot: every per-degree count still agrees."""
+    def doctored(columns, one):
+        echelon, pivots, kernel = real(columns, one)
+        if kernel == [{(1, 2, 3): one}]:
+            return echelon, pivots + [(1, 2, 3)], []
+        return echelon, pivots, kernel
+    return doctored
+
+
+def _wrong_betti(real):
+    def doctored(L):
+        report = real(L)
+        report.betti[0] += 1
+        return report
+    return doctored
+
+
+@pytest.mark.parametrize("module, name, doctor, command, doc, reason", [
+    (ce_complex, "_echelon_insert", lambda real: lambda echelon, vec: None,
+     "cohomology", HEIS, "degree 0: 0 representatives for Betti number 1"),
+    (ce_complex, "_rank_and_kernel", _pivot_the_top_form,
+     "cohomology", ABELIAN_3, "Euler characteristic of 'abelian_3' is not zero"),
+    (lie_core, "jacobi_check", lambda real: lambda L: [(1, 2, 3, [0, 0, 0])],
+     "quotient", HEIS_CENTRE, "the quotient by an ideal fails the Jacobi identity"),
+    (quotient_pipeline, "_cohomology", _wrong_betti,
+     "quotient", HEIS_CENTRE, "abelian quotient Betti [2, 2, 1], expected [1, 2, 1]"),
+], ids=["representatives", "euler", "quotient_jacobi", "abelian_betti"])
+def test_cli_exits_6_on_each_check(module, name, doctor, command, doc, reason,
+                                   tmp_path, capsys, monkeypatch):
+    # each doctored step leaves every earlier check standing; lie_core's
+    # jacobi_check is the one quotient_algebra calls, not the one _admit does
+    monkeypatch.setattr(module, name, doctor(getattr(module, name)))
+    assert main([command, _write(tmp_path, doc)]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal check failed: %s\n" % reason
+
+
+def test_selftest_reports_a_one_form_sign_counterexample(capsys, monkeypatch):
+    # a coboundary matrix of the abelian algebra on the same basis is zero,
+    # so so3, the first non-abelian entry, is the counterexample
+    real = mc_numeric.ce_differential
+    monkeypatch.setattr(mc_numeric, "ce_differential",
+                        lambda L, k: real(LieAlgebra.abelian(L.name, L.dim, L.field), k))
+    so3 = LieAlgebra("so3", 3, QQ, {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}})
+    assert mc_numeric.one_form_sign_check(so3) == (3, 1, 2, 0, -1)
+    assert main(["selftest", "--seed", "0"]) == 5
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "FAIL" in line] == [
+        "suite one_form_sign: FAIL (1-form sign bridge fails for so3)", "selftest: FAIL"]
 
 
 def test_selftest_reports_a_broken_determinant_kernel(capsys, monkeypatch):

@@ -447,7 +447,7 @@ def test_dimensions_and_indices_are_nonnegative_integers():
             LieAlgebra(*args)
     for ambient in (-1, True, False, 2.0):
         with pytest.raises(DimensionMismatch):
-            Subspace(ambient, [])
+            Subspace(ambient, [], QQ)
 
 
 def test_algebra_json_round_trips_random_tables():
