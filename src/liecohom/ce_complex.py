@@ -58,6 +58,7 @@ from .field_arith import (
     _minor_sum,
     _rank_and_kernel,
     _sparse_row,
+    _vector,
     format_scalar,
 )
 from .lie_core import _check_same_space, _integral, jacobi_check
@@ -211,20 +212,13 @@ def form_from_vector(field, n, degree, vec):
     """The form with coefficient vec[i] on the i-th tuple of index_tuples,
     checked as the constructor checks any caller's data."""
     tuples = index_tuples(n, degree)
-    if len(vec) != len(tuples):
-        raise DimensionMismatch(
-            "coefficient vector of length %d, expected %d" % (len(vec), len(tuples))
-        )
+    vec = _vector(field, vec, len(tuples), "coefficient vector")
     return ExteriorForm(n, degree, field, dict(zip(tuples, vec)))
 
 
 def _prepared_args(field, ambient, args):
-    """Argument vectors coerced into the field, checked for length, and
-    each cleared of its denominators (_cleared)."""
-    args = [[field.coerce(x) for x in v] for v in args]
-    if any(len(v) != ambient for v in args):
-        raise DimensionMismatch("argument vectors must have length %d" % ambient)
-    return [_cleared(field, v) for v in args]
+    """Argument vectors checked by _vector, each cleared of its denominators (_cleared)."""
+    return [_cleared(field, _vector(field, v, ambient, "argument vector")) for v in args]
 
 
 def _evaluate_cleared(form, coeffs, args):
@@ -366,16 +360,23 @@ def _d_basis(dt, I):
     return out
 
 
+def _combination(n, degree, field, terms):
+    """The form sum of c * coeffs over the (c, coeffs) pairs, each coeffs a
+    dict {index tuple: scalar} of one degree on F^n."""
+    sums = {}
+    for c, coeffs in terms:
+        for idx, value in coeffs.items():
+            term = c * value
+            prev = sums.get(idx)
+            sums[idx] = term if prev is None else prev + term
+    return ExteriorForm._from_sums(n, degree, field, sums)
+
+
 def _d_form(dt, form):
     """d form, given the 1-form differential table dt of its algebra
     (_one_form_differentials): the sum of coeff_I * d t[I] over its tuples."""
-    coeffs = {}
-    for I, coeff in form.coeffs.items():
-        for J, value in _d_basis(dt, I).items():
-            term = coeff * value
-            prev = coeffs.get(J)
-            coeffs[J] = term if prev is None else prev + term
-    return ExteriorForm._from_sums(form.ambient, form.degree + 1, form.field, coeffs)
+    return _combination(form.ambient, form.degree + 1, form.field,
+                        ((coeff, _d_basis(dt, I)) for I, coeff in form.coeffs.items()))
 
 
 def d_apply(L, form):

@@ -23,7 +23,8 @@ only to _echelon_insert and _reduce_against; these answer every
 independence and membership question one row at a time, and rank.
 _rank_and_kernel inserts a matrix's columns once for its pivots, a sparse
 kernel and the echelon of its pivot columns.  rank, rank_and_kernel and
-solve_in_span take and return dense data.  The pivots and kernel are the
+solve_in_span take and return dense data, and _vector is the one gate
+for the length and field of every dense input.  The pivots and kernel are the
 reduced row echelon form's, and each row of an insertion echelon is
 unique, so these answers are those of any exact elimination.  No other
 module looks inside a scalar: _cleared writes scalars over their least
@@ -832,7 +833,22 @@ def _parse_atom(toks, field):
 
 
 # ---------------------------------------------------------------------------
-# matrices
+# dense vectors and matrices
+
+def _vector(field, values, length, what):
+    """values, a sequence, as a list in field: DimensionMismatch unless it
+    has length entries, then MixedFields (Field.coerce) at the first entry
+    outside the field.  what names the vector in the message."""
+    if len(values) != length:
+        raise DimensionMismatch("%s of length %d, expected %d" % (what, len(values), length))
+    return [field.coerce(x) for x in values]
+
+
+def _check_index(i, size, what):
+    """DimensionMismatch unless 0 <= i < size: a Matrix reader's index."""
+    if not 0 <= i < size:
+        raise DimensionMismatch("%s index %r outside 0..%d" % (what, i, size - 1))
+
 
 class Matrix:
     """Immutable dense matrix over a single field; entries row-major.
@@ -844,25 +860,18 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field, rows, cols, entries):
-        if rows < 0 or cols < 0 or len(entries) != rows * cols:
-            raise DimensionMismatch("entry count does not match shape")
+        if rows < 0 or cols < 0:
+            raise DimensionMismatch("negative matrix shape %dx%d" % (rows, cols))
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(entries)
+        self.entries = tuple(_vector(field, entries, rows * cols, "entry list"))
 
     @classmethod
     def from_rows(cls, field, rows, cols=None):
-        rows = [list(r) for r in rows]
-        if rows:
-            if cols is None:
-                cols = len(rows[0])
-            for r in rows:
-                if len(r) != cols:
-                    raise DimensionMismatch("row of length %d, expected %d" % (len(r), cols))
-        elif cols is None:
-            cols = 0
-        flat = [field.coerce(x) for r in rows for x in r]
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
+        flat = [x for r in rows for x in _vector(field, r, cols, "matrix row")]
         return cls(field, len(rows), cols, flat)
 
     @property
@@ -870,21 +879,23 @@ class Matrix:
         return (self.rows, self.cols)
 
     def entry(self, i, j):
+        _check_index(i, self.rows, "row")
+        _check_index(j, self.cols, "column")
         return self.entries[i * self.cols + j]
 
     def row(self, i):
+        _check_index(i, self.rows, "row")
         return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
     def col(self, j):
+        _check_index(j, self.cols, "column")
         return [self.entries[i * self.cols + j] for i in range(self.rows)]
 
     def to_rows(self):
         return [self.row(i) for i in range(self.rows)]
 
     def mul_vec(self, vec):
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length %d, expected %d" % (len(vec), self.cols))
-        vec = [self.field.coerce(x) for x in vec]
+        vec = _vector(self.field, vec, self.cols, "vector")
         out = []
         for i in range(self.rows):
             acc = self.field.zero
@@ -1012,25 +1023,16 @@ def rank_and_kernel(m):
     return len(pivots), [[v.get(j, zero) for j in range(m.cols)] for v in kernel]
 
 
-def solve_in_span(basis, target):
-    """Exact coefficients expressing target in the span of basis, else None.
+def solve_in_span(basis, target, field):
+    """Exact coefficients in field expressing target in the span of basis, else None.
 
     When the basis is linearly dependent the particular solution with all
     free coefficients zero is returned.  Not being in the span is an
     answer, not an error.  The basis and then the target are the columns of
     one _rank_and_kernel, and the target's kernel vector is minus the answer.
     """
-    if not basis:
-        return [] if not any(target) else None
     n = len(target)
-    if any(len(v) != n for v in basis):
-        raise DimensionMismatch("span vectors and target have different lengths")
-    fields = {field_of(x) for v in basis for x in v} | {field_of(x) for x in target}
-    fields.discard(QQ)
-    if len(fields) > 1:
-        raise MixedFields("span and target mix rational-function fields")
-    field = fields.pop() if fields else QQ
-    columns = {j: _sparse_row([field.coerce(x) for x in v])
+    columns = {j: _sparse_row(_vector(field, v, n, "span vector"))
                for j, v in enumerate([*basis, target])}
     _, pivots, kernel = _rank_and_kernel(columns, field.one)
     if len(basis) in pivots:

@@ -5,7 +5,8 @@ pairs [e_i, e_j] for i < j; everything else follows by bilinearity and
 antisymmetry.  Indices are 1-based here and in every file format.
 
 _check_same_space is the package's one check that two objects live on the
-same F^n: DimensionMismatch first, then MixedFields.
+same F^n: DimensionMismatch first, then MixedFields.  field_arith._vector
+checks each dense vector given here for its length and then its field.
 """
 
 from numbers import Integral
@@ -25,6 +26,7 @@ from .field_arith import (
     _echelon_insert,
     _rank_and_kernel,
     _sparse_row,
+    _vector,
     format_scalar,
     parse_scalar,
 )
@@ -96,7 +98,7 @@ class LieAlgebra:
         return [self.field.zero] * self.dim
 
     def basis_vector(self, i):
-        if not (1 <= i <= self.dim):
+        if not (_integral(i) and 1 <= i <= self.dim):
             raise DimensionMismatch("basis index %r out of range" % (i,))
         v = self.zero_vector()
         v[i - 1] = self.field.one
@@ -139,11 +141,8 @@ class LieAlgebra:
 
 def bracket(L, x, y):
     """[x, y] for arbitrary coordinate vectors, by bilinearity."""
-    n = L.dim
-    if len(x) != n or len(y) != n:
-        raise DimensionMismatch("vectors must have length %d" % n)
-    x = [L.field.coerce(c) for c in x]
-    y = [L.field.coerce(c) for c in y]
+    x = _vector(L.field, x, L.dim, "bracket argument")
+    y = _vector(L.field, y, L.dim, "bracket argument")
     out = L.zero_vector()
     for (i, j), terms in L.brackets.items():
         c = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
@@ -200,14 +199,7 @@ class Subspace:
         if not _integral(ambient_dim) or ambient_dim < 0:
             raise DimensionMismatch("ambient dimension must be a nonnegative integer")
         ambient_dim = int(ambient_dim)
-        basis = [list(v) for v in basis]
-        for v in basis:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch(
-                    "subspace vector of length %d in ambient dimension %d"
-                    % (len(v), ambient_dim)
-                )
-        basis = [[field.coerce(x) for x in v] for v in basis]
+        basis = [_vector(field, v, ambient_dim, "subspace vector") for v in basis]
         echelon = _echelon()
         if any(_echelon_insert(echelon, _sparse_row(v)) is None for v in basis):
             raise ValueError("subspace basis is linearly dependent")
@@ -325,13 +317,7 @@ def torus_ideal_from_directions(n, directions, field):
     Directions may be dependent; a direction is kept when it leaves the
     span of the directions before it, so earlier vectors are kept.
     """
-    directions = [list(v) for v in directions]
-    for v in directions:
-        if len(v) != n:
-            raise DimensionMismatch(
-                "direction of length %d in ambient dimension %d" % (len(v), n)
-            )
-    directions = [[field.coerce(x) for x in v] for v in directions]
+    directions = [_vector(field, v, n, "torus direction") for v in directions]
     echelon = _echelon()
     kept = [v for v in directions if _echelon_insert(echelon, _sparse_row(v)) is not None]
     return Subspace(n, kept, field)

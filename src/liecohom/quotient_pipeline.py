@@ -22,6 +22,7 @@ from .ce_complex import (
     ExteriorForm,
     _admit,
     _cohomology,
+    _combination,
     _d_basis,
     _d_form,
     _horizontal_powers,
@@ -99,17 +100,6 @@ def _pulled_one_forms(projection):
     ]
 
 
-def _combination(n, degree, field, terms):
-    """The form sum of c * f over the (c, f) pairs, all of one degree on F^n."""
-    sums = {}
-    for c, f in terms:
-        for idx, value in f.coeffs.items():
-            term = c * value
-            prev = sums.get(idx)
-            sums[idx] = term if prev is None else prev + term
-    return ExteriorForm._from_sums(n, degree, field, sums)
-
-
 def pullback_form(projection, sigma):
     """Pull a form on the quotient back along the projection.
 
@@ -126,7 +116,7 @@ def pullback_form(projection, sigma):
         term = unit
         for j in J:
             term = wedge(term, pulled[j - 1])
-        terms.append((coeff, term))
+        terms.append((coeff, term.coeffs))
     return _combination(n, sigma.degree, field, terms)
 
 
@@ -178,7 +168,7 @@ def _chain_iso_check(L, h, qd):
                         "pullback leaves the horizontal subspace")
         for I, pb in table.items():
             rhs = _combination(n, k + 1, field,
-                               [(c, upper[J]) for J, c in _d_basis(dt, I).items()])
+                               [(c, upper[J].coeffs) for J, c in _d_basis(dt, I).items()])
             if _d_form(dt_L, pb) != rhs:
                 return (k, basis_form(field, q, I), "d does not commute with pullback")
         table = upper

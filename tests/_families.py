@@ -55,7 +55,7 @@ def rebased(L, P):
     table = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            image = solve_in_span(cols, bracket(L, cols[i - 1], cols[j - 1]))
+            image = solve_in_span(cols, bracket(L, cols[i - 1], cols[j - 1]), L.field)
             terms = {k: c for k, c in enumerate(image, start=1) if c}
             if terms:
                 table[(i, j)] = terms

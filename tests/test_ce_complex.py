@@ -985,6 +985,31 @@ def test_form_vector_round_trip():
         assert form_from_vector(QQ, n, k, full_vector(f)) == f
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    ({(1,): 1}, r"index tuple \(1,\) in a degree-2 form"),
+    ({(1, 4): 1}, r"index tuple \(1, 4\) out of range"),
+    ({(0, 2): 1}, r"index tuple \(0, 2\) out of range"),
+    ({(2, 1): 1}, r"index tuple \(2, 1\) is not strictly increasing"),
+    ({(2, 2): 1}, r"index tuple \(2, 2\) is not strictly increasing"),
+], ids=["length", "past_n", "zero", "decreasing", "repeated"])
+def test_exterior_form_refuses_a_bad_index_tuple(coeffs, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        ExteriorForm(3, 2, QQ, coeffs)
+
+
+def test_forms_of_different_degrees_do_not_add():
+    with pytest.raises(DimensionMismatch, match="cannot add forms of different degrees"):
+        t(3, 1) + t(3, 1, 2)
+
+
+def test_form_from_vector_checks_its_vector():
+    with pytest.raises(DimensionMismatch, match="coefficient vector of length 2, expected 3"):
+        form_from_vector(QQ, 3, 2, [1, 2])
+    with pytest.raises(MixedFields):
+        form_from_vector(QQ, 3, 2, [1, A, 0])
+    assert form_from_vector(FA, 2, 1, [1, A]) == ExteriorForm(2, 1, FA, {(1,): 1, (2,): A})
+
+
 # ---------------------------------------------------------------------------
 # results that skip the constructor's checks
 

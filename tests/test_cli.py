@@ -166,6 +166,45 @@ def test_validate_parse_failures(tmp_path, capsys):
     assert "term index k must be an integer" in err
 
 
+def _so3_with(**changes):
+    return {**so3_doc(), **changes}
+
+
+def _heis_pipeline_with(ideal):
+    return {**heis_pipeline_doc(), "ideal": ideal}
+
+
+def _torus_doc(directions):
+    return {"algebra": abelian_doc(3), "ideal": {"torus_directions": directions}}
+
+
+DOCUMENT_REFUSALS = [
+    ("field_var", _so3_with(field={"rational_function_in": 3}),
+     "rational_function_in must be an identifier string"),
+    ("entry_not_object", _so3_with(brackets=[[1, 2]]), "bracket entry must be a JSON object"),
+    ("name", _so3_with(name=5), "algebra name must be a string"),
+    ("brackets", _so3_with(brackets={}), "brackets must be a list"),
+    ("terms", _so3_with(brackets=[{"i": 1, "j": 2, "terms": {}}]), "terms must be a list"),
+    ("vectors", _heis_pipeline_with({"vectors": {}}),
+     "vectors must be a list of coordinate lists"),
+    ("vector", _heis_pipeline_with({"vectors": ["1"]}),
+     "each vector must be a list of scalar texts"),
+    ("direction", _torus_doc(["1"]), "each direction must be a list of scalar texts"),
+    ("vector_length", _heis_pipeline_with({"vectors": [["0", "1"]]}),
+     "subspace vector of length 2, expected 3"),
+    ("direction_length", _torus_doc([["1", "0", "0"], ["1"]]),
+     "torus direction of length 1, expected 3"),
+]
+
+
+@pytest.mark.parametrize("doc, message", [case[1:] for case in DOCUMENT_REFUSALS],
+                         ids=[case[0] for case in DOCUMENT_REFUSALS])
+def test_validate_refuses_a_malformed_document(doc, message, tmp_path, capsys):
+    assert main(["validate", write_doc(tmp_path, doc)]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: %s\n" % message)
+
+
 def test_validate_rejects_nested_powers_past_the_cap(tmp_path):
     # ((a+1)^100)^100 has degree 10^4, and the product of four factors of
     # degree 600 has degree 2400: each must be refused, not computed

@@ -226,10 +226,10 @@ def test_kernel_free_variable_order():
 
 
 def test_solve_in_span_examples():
-    assert solve_in_span([[1, A]], [2, 2 * A]) == [FA.coerce(2)]
-    assert solve_in_span([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)]) is None
-    assert solve_in_span([], [Fraction(0), Fraction(0)]) == []
-    assert solve_in_span([], [Fraction(1)]) is None
+    assert solve_in_span([[1, A]], [2, 2 * A], FA) == [FA.coerce(2)]
+    assert solve_in_span([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)], QQ) is None
+    assert solve_in_span([], [Fraction(0), Fraction(0)], QQ) == []
+    assert solve_in_span([], [Fraction(1)], QQ) is None
 
 
 def test_rank_properties_random():
@@ -261,6 +261,63 @@ def test_from_rows_checks_the_stated_width():
         Matrix.from_rows(QQ, [[1, 2, 3], [4, 5]], cols=3)
     with pytest.raises(DimensionMismatch):
         Matrix.from_rows(QQ, [[1, 2], [3]])
+
+
+def test_the_vector_gate_checks_length_then_field():
+    assert field_arith._vector(FA, [1, Fraction(1, 2), A], 3, "v") == [
+        FA.coerce(1), FA.coerce(Fraction(1, 2)), A]
+    with pytest.raises(DimensionMismatch, match=r"^v of length 2, expected 3$"):
+        field_arith._vector(QQ, [1, 2], 3, "v")
+    with pytest.raises(MixedFields):
+        field_arith._vector(QQ, [1, A], 2, "v")
+    with pytest.raises(MixedFields):
+        field_arith._vector(FA, [1, Field("b").generator()], 2, "v")
+    # a vector that is too short and outside the field fails on its length
+    with pytest.raises(DimensionMismatch):
+        field_arith._vector(QQ, [A], 2, "v")
+
+
+def test_matrix_entries_are_checked_against_the_field():
+    with pytest.raises(MixedFields):
+        Matrix(QQ, 1, 2, [1, A])
+    with pytest.raises(MixedFields):
+        Matrix.from_rows(QQ, [[1, A]])
+    with pytest.raises(DimensionMismatch):
+        Matrix(QQ, 1, 2, [1])
+    with pytest.raises(DimensionMismatch):
+        Matrix(QQ, -1, -1, [1])
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_rows(QQ, [[1, 2]]).mul_vec([1])
+    with pytest.raises(MixedFields):
+        Matrix.from_rows(QQ, [[1, 2]]).mul_vec([1, A])
+    m = Matrix(FA, 1, 2, [1, Fraction(1, 2)])
+    assert m.entries == (FA.one, FA.coerce(Fraction(1, 2)))
+    assert rank_and_kernel(m) == (1, [[FA.coerce(Fraction(-1, 2)), FA.one]])
+
+
+def test_matrix_readers_refuse_indices_outside_the_shape():
+    m = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
+    assert (m.entry(1, 0), m.row(1), m.col(1)) == (3, [3, 4], [2, 4])
+    for i, j in ((0, 2), (2, 0), (-1, 0), (0, -1)):
+        with pytest.raises(DimensionMismatch):
+            m.entry(i, j)
+    for i in (2, 5, -1):
+        with pytest.raises(DimensionMismatch):
+            m.row(i)
+        with pytest.raises(DimensionMismatch):
+            m.col(i)
+
+
+def test_solve_in_span_is_told_its_field():
+    # integer data over Q(a) gives an answer in Q(a), not in Q
+    assert solve_in_span([[1, 0]], [2, 0], FA) == [FA.coerce(2)]
+    assert solve_in_span([], [0], FA) == []
+    with pytest.raises(MixedFields):
+        solve_in_span([[1, A]], [2, 2 * A], QQ)
+    with pytest.raises(MixedFields):
+        solve_in_span([], [A], QQ)
+    with pytest.raises(DimensionMismatch):
+        solve_in_span([[1, 0, 0]], [1, 0], QQ)
 
 
 def _random_vector_lists(rng, field, count):
@@ -390,7 +447,7 @@ def test_solve_in_span_matches_gauss_jordan(field):
             basis, target = vectors[:last], vectors[last]
             aug = [[v[i] for v in basis] + [target[i]] for i in range(n)]
             rref_rows, pivots = _oracle.gauss_jordan(aug)
-            got = solve_in_span(basis, target)
+            got = solve_in_span(basis, target, field)
             if last in pivots:
                 assert got is None
                 continue
@@ -680,7 +737,7 @@ def test_minor_sum_of_one_term_is_the_product(field):
 def test_solve_in_span_dependent_basis():
     # dependent spanning set still yields a particular solution
     coeffs = solve_in_span([[Fraction(1), Fraction(0)], [Fraction(2), Fraction(0)]],
-                           [Fraction(3), Fraction(0)])
+                           [Fraction(3), Fraction(0)], QQ)
     assert coeffs is not None
     got = [coeffs[0] * 1 + coeffs[1] * 2, Fraction(0)]
     assert got == [Fraction(3), Fraction(0)]

@@ -1,11 +1,12 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
-and every docstring example in the package runs.  Five decisions have one
+and every docstring example in the package runs.  Six decisions have one
 owner each: only field_arith builds or looks inside an echelon, only
 field_arith knows how a scalar is stored, one function raises
-DimensionCapExceeded, one raises DegreeOutOfRange, and one compares two
-objects' ambient dimensions and fields.  No json.dumps call passes indent:
-cli's one writer prints indented JSON."""
+DimensionCapExceeded, one raises DegreeOutOfRange, one compares two
+objects' ambient dimensions and fields, and one, field_arith._vector,
+checks a dense vector's length and coerces its entries.  No json.dumps
+call passes indent: cli's one writer prints indented JSON."""
 
 import ast
 import doctest
@@ -338,6 +339,104 @@ def test_detects_a_space_compared_by_hand():
               "def same(a, b):\n    return a.field == b.field and a.dim != b.dim\n\n"
               "def lengths(v, ambient):\n    return len(v) != ambient\n")
     assert space_comparisons(source) == {"add", "horizontal", "ideal_check"}
+
+
+def _raises(node, error):
+    if not (isinstance(node, ast.Raise) and node.exc is not None):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == error
+
+
+def _qualified_walk(node, name=None):
+    """(qualified name of the enclosing function or class, node) for every
+    node under node, a method named Class.method."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        name = node.name if name is None else "%s.%s" % (name, node.name)
+    yield name, node
+    for child in ast.iter_child_nodes(node):
+        yield from _qualified_walk(child, name)
+
+
+def length_refusals(source):
+    """Qualified names of the functions that raise DimensionMismatch under
+    an if whose test compares a len(...) call."""
+    found = set()
+    for name, node in _qualified_walk(ast.parse(source)):
+        if not isinstance(node, ast.If):
+            continue
+        compares_length = any(
+            isinstance(sub, ast.Compare)
+            and any(_calls(x, {"len"}) for x in [sub.left, *sub.comparators])
+            for sub in ast.walk(node.test))
+        if compares_length and any(_raises(sub, "DimensionMismatch")
+                                   for stmt in node.body + node.orelse
+                                   for sub in ast.walk(stmt)):
+            found.add(name)
+    return found
+
+
+def test_only_the_gate_refuses_a_vector_by_its_length():
+    # ExteriorForm.__init__ compares an index tuple's length with the degree
+    refusals = []
+    for path in MODULES + [Path(liecohom.__file__)]:
+        refusals += ["%s:%s" % (path.name, name) for name in
+                     sorted(length_refusals(path.read_text(encoding="utf-8")))]
+    assert refusals == ["ce_complex.py:ExteriorForm.__init__", "field_arith.py:_vector"]
+
+
+def test_detects_a_length_refused_by_hand():
+    source = ("def _vector(field, values, length):\n    if len(values) != length:\n"
+              "        raise DimensionMismatch('length')\n\n"
+              "def bracket(L, x, y):\n    if len(x) != L.dim or len(y) != L.dim:\n"
+              "        raise DimensionMismatch\n\n"
+              "def prepared(args, n):\n    if any(len(v) != n for v in args):\n"
+              "        raise DimensionMismatch('args')\n\n"
+              "class M:\n    def mul_vec(self, v):\n        if self.cols == len(v):\n"
+              "            return v\n        else:\n            raise DimensionMismatch('v')\n\n"
+              "def shape(rows):\n    if rows < 0:\n        raise DimensionMismatch('rows')\n\n"
+              "def arity(args, k):\n    if len(args) != k:\n        raise ArityMismatch('k')\n")
+    assert length_refusals(source) == {"_vector", "bracket", "prepared", "M.mul_vec"}
+
+
+def _is_coerce(node):
+    return isinstance(node, ast.Attribute) and node.attr == "coerce"
+
+
+def coerce_maps(source):
+    """Qualified names of the functions with a comprehension whose element
+    is a .coerce call, or a map over a .coerce method."""
+    found = set()
+    for name, node in _qualified_walk(ast.parse(source)):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            element = node.value if isinstance(node, ast.DictComp) else node.elt
+            if isinstance(element, ast.Call) and _is_coerce(element.func):
+                found.add(name)
+        elif _calls(node, {"map"}) and node.args and _is_coerce(node.args[0]):
+            found.add(name)
+    return found
+
+
+def test_only_the_gate_coerces_a_vector():
+    # a single scalar, like a bracket coefficient, is coerced where it is read
+    maps = []
+    for path in MODULES + [Path(liecohom.__file__)]:
+        maps += ["%s:%s" % (path.name, name) for name in
+                 sorted(coerce_maps(path.read_text(encoding="utf-8")))]
+    assert maps == ["field_arith.py:_vector"]
+
+
+def test_detects_a_vector_coerced_by_hand():
+    source = ("def bracket(L, x):\n    return [L.field.coerce(c) for c in x]\n\n"
+              "def subspace(basis, field):\n"
+              "    return [[field.coerce(x) for x in v] for v in basis]\n\n"
+              "class M:\n    def mul_vec(self, v):\n"
+              "        return tuple(self.field.coerce(x) for x in v)\n\n"
+              "def keyed(f, v):\n    return {i: f.coerce(x) for i, x in enumerate(v)}\n\n"
+              "def mapped(f, v):\n    return list(map(f.coerce, v))\n\n"
+              "def scalar(f, x):\n    return f.coerce(x)\n\n"
+              "def text(v):\n    return [str(x) for x in v]\n")
+    assert coerce_maps(source) == {"bracket", "subspace", "M.mul_vec", "keyed", "mapped"}
 
 
 def indented_dumps(source):

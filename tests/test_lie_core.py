@@ -53,6 +53,31 @@ def test_bracket_basis_and_antisymmetry():
     assert L.bracket_basis(2, 2) == [0, 0, 0]
 
 
+@pytest.mark.parametrize("index", [True, 1.5, 2.0, 0, 4])
+def test_basis_vector_refuses_an_index_that_is_no_basis_index(index):
+    with pytest.raises(DimensionMismatch):
+        so3().basis_vector(index)
+
+
+def test_bracket_checks_both_arguments_through_the_gate():
+    L = so3()
+    assert bracket(L, [1, 0, 0], [0, 1, 0]) == [0, 0, 1]
+    with pytest.raises(DimensionMismatch, match="bracket argument of length 2, expected 3"):
+        bracket(L, [1, 0, 0], [0, 1])
+    with pytest.raises(MixedFields):
+        bracket(L, [1, 0, 0], [0, A, 0])
+
+
+def test_subspace_vectors_are_checked_one_by_one():
+    # the first vector fails on its field before the second on its length
+    with pytest.raises(MixedFields):
+        Subspace(2, [[1, A], [1, 0, 0]], QQ)
+    with pytest.raises(DimensionMismatch, match="subspace vector of length 3, expected 2"):
+        Subspace(2, [[1, 0, 0], [1, A]], QQ)
+    with pytest.raises(DimensionMismatch, match="torus direction of length 1, expected 2"):
+        torus_ideal_from_directions(2, [[1]], QQ)
+
+
 def test_bracket_bilinear():
     L = so3()
     rng = random.Random(5)
