@@ -17,20 +17,22 @@ No other module eliminates, and elimination runs on sparse rows: a row is
 a dict {key: nonzero scalar} whose lead is min(row), so a step touches
 only the entries that are there.  Keys are int positions for Matrix and
 dense-vector callers, converted at the boundary, and index tuples for
-forms, where the coeffs dict of an ExteriorForm already is a row.  Only
-_echelon and _rank_and_kernel make an echelon, which other modules hand
-only to _echelon_insert and _reduce_against; these answer every
-independence and membership question one row at a time, and rank.
-_rank_and_kernel inserts a matrix's columns once for its pivots, a sparse
-kernel and the echelon of its pivot columns.  rank, rank_and_kernel and
-solve_in_span take and return dense data, and _vector is the one gate
-for the length and field of every dense input.  The pivots and kernel are the
-reduced row echelon form's, and each row of an insertion echelon is
-unique, so these answers are those of any exact elimination.  No other
-module looks inside a scalar: _cleared writes scalars over their least
-common denominator, in Z or Q[a], for evaluate and the selftest's rank
-oracle, and _minor_sum sums evaluate's minors there, each taken by the
-one fraction-free kernel _bareiss (rank and determinant over Z and Q[a]).
+forms, where the coeffs dict of an ExteriorForm already is a row.  The
+engine is two operations.  Row insertion, _echelon_insert, answers
+independence and membership: a row lies in the span exactly when it
+inserts nothing.  Column insertion, _rank_and_kernel, inserts a matrix's
+columns once for its pivots (rank counts them), a sparse kernel and the
+echelon of its pivot columns.  Only _echelon and _rank_and_kernel make an
+echelon, which other modules hand only to _echelon_insert.  rank,
+rank_and_kernel and solve_in_span take and return dense data, and _vector
+is the one gate for the length and field of every dense input.  The pivots
+and kernel are the reduced row echelon form's, and each row of an
+insertion echelon is unique, so these answers are those of any exact
+elimination.  No other module looks inside a scalar: _cleared writes
+scalars over their least common denominator, in Z or Q[a], for evaluate
+and the selftest's rank oracle, and _minor_sum sums evaluate's minors
+there, each taken by the one fraction-free kernel _bareiss (rank and
+determinant over Z and Q[a]).
 
 Scalar text syntax, used by every file format, is ordinary arithmetic
 notation over integers and at most one indeterminate.  Whitespace is
@@ -332,20 +334,11 @@ class RationalFunction:
             den = Poly.const(den)
         if den.is_zero:
             raise DivisionByZero("rational function with zero denominator")
-        if num.is_zero:
-            den = _POLY_ONE
-        else:
-            if num.degree > 0 and den.degree > 0:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num, den = num // g, den // g
-            lead = den.leading
-            if lead != 1:
-                inv = 1 / lead
-                num, den = num * inv, den * inv
+        # num/1 and den/1 are canonical, and division keeps the form
+        value = RationalFunction._reduced(var, num) / RationalFunction._reduced(var, den)
         self.var = var
-        self.num = num
-        self.den = den
+        self.num = value.num
+        self.den = value.den
 
     @classmethod
     def _reduced(cls, var, num, den=_POLY_ONE):
@@ -736,7 +729,7 @@ def _parse_product(toks, field):
         if op is None:
             return value
         rhs = _parse_unary(toks, field)
-        _check_degree(value, op, rhs)
+        _cap_unreduced_degree(value, op, rhs)
         if op == "*":
             value = value * rhs
         else:
@@ -770,13 +763,13 @@ def _parse_power(toks, field):
         if chain > _MAX_EXPONENT:
             raise ParseError("exponent %s too large (nested exponents multiply)"
                              % _rational_text(chain))
-        _check_degree(base, "^", val)
+        _cap_unreduced_degree(base, "^", val)
         base = base**val
     toks.chain = max(outer, chain)
     return base
 
 
-def _check_degree(lhs, op, rhs):
+def _cap_unreduced_degree(lhs, op, rhs):
     """Refuse lhs op rhs, for op one of "*", "/" and "^", before it is
     formed when its numerator or denominator, before any cancellation,
     would pass degree _MAX_EXPONENT.
@@ -943,23 +936,17 @@ def _subtract(row, c, other):
                 del row[key]
 
 
-def _reduce_against(echelon, row):
-    """row reduced against an echelon: a list of (lead, row) pairs, each row
-    1 at its lead and without the earlier leads.  Empty exactly when row is
-    in the span.  Mutates nothing."""
+def _echelon_insert(echelon, row):
+    """Append row reduced against the echelon, its lead scaled to 1, unless
+    it reduces to zero; return the appended row, or None exactly when row
+    lies in the span.  An echelon is a list of (lead, row) pairs, each row
+    1 at its lead and without the earlier leads.  Mutates only the echelon."""
     row = dict(row)
     get = row.get
     for lead, other in echelon:
         c = get(lead)
         if c is not None:
             _subtract(row, c, other)
-    return row
-
-
-def _echelon_insert(echelon, row):
-    """Append row reduced against the echelon, its lead scaled to 1, unless
-    it reduces to zero; return the appended row, or None."""
-    row = _reduce_against(echelon, row)
     if not row:
         return None
     lead = min(row)
@@ -1007,8 +994,8 @@ def _rank_and_kernel(columns, one):
 
 
 def rank(m):
-    """Exact rank: the number of rows an insertion echelon takes."""
-    return len(_echelon(_sparse_row(row) for row in m.to_rows()))
+    """Exact rank: the pivot count of the column insertion."""
+    return rank_and_kernel(m)[0]
 
 
 def rank_and_kernel(m):

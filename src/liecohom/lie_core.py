@@ -48,6 +48,13 @@ def _integral(value):
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def _check_basis_index(i, dim):
+    """DimensionMismatch unless i is an integer index in 1..dim.  type(i) is
+    int is tried first: structure_constant runs this on every call."""
+    if not ((type(i) is int or _integral(i)) and 1 <= i <= dim):
+        raise DimensionMismatch("basis index %r out of range" % (i,))
+
+
 class LieAlgebra:
     """A finite-dimensional Lie algebra given by structure constants.
 
@@ -98,14 +105,17 @@ class LieAlgebra:
         return [self.field.zero] * self.dim
 
     def basis_vector(self, i):
-        if not (_integral(i) and 1 <= i <= self.dim):
-            raise DimensionMismatch("basis index %r out of range" % (i,))
+        _check_basis_index(i, self.dim)
         v = self.zero_vector()
         v[i - 1] = self.field.one
         return v
 
     def structure_constant(self, i, j, k):
-        """Coefficient of e_k in [e_i, e_j], for any i, j."""
+        """Coefficient of e_k in [e_i, e_j], for any basis indices i, j, k."""
+        dim = self.dim
+        _check_basis_index(i, dim)
+        _check_basis_index(j, dim)
+        _check_basis_index(k, dim)
         if i == j:
             return self.field.zero
         if i < j:
@@ -115,6 +125,8 @@ class LieAlgebra:
 
     def bracket_basis(self, i, j):
         """[e_i, e_j] as a coordinate vector."""
+        _check_basis_index(i, self.dim)
+        _check_basis_index(j, self.dim)
         v = self.zero_vector()
         if i == j:
             return v
@@ -364,9 +376,6 @@ def algebra_from_json(doc):
     name = doc["name"]
     if not isinstance(name, str):
         raise ParseError("algebra name must be a string")
-    dim = doc["dimension"]
-    if not _integral(dim) or dim < 0:
-        raise ParseError("dimension must be a nonnegative integer")
     field = field_from_json(doc["field"])
     entries = doc["brackets"]
     if not isinstance(entries, list):
@@ -392,7 +401,7 @@ def algebra_from_json(doc):
             terms[k] = parse_scalar(term["coeff"], field)
         table[(i, j)] = terms
     try:
-        return LieAlgebra(name, dim, field, table)
+        return LieAlgebra(name, doc["dimension"], field, table)
     except (DimensionMismatch, MixedFields) as exc:
         raise ParseError(str(exc)) from exc
 
@@ -415,16 +424,23 @@ def algebra_to_json(L):
     }
 
 
+def _vector_list(doc, key, noun, field):
+    """doc[key], a JSON list of lists of scalar texts, as lists of scalars
+    of field; noun names one list in the message that refuses it."""
+    raw = doc[key]
+    if not isinstance(raw, list):
+        raise ParseError("%s must be a list of coordinate lists" % key)
+    parsed = []
+    for vec in raw:
+        if not isinstance(vec, list):
+            raise ParseError("each %s must be a list of scalar texts" % noun)
+        parsed.append([parse_scalar(x, field) for x in vec])
+    return parsed
+
+
 def subspace_from_json(doc, ambient_dim, field):
     _require_keys(doc, ("vectors",), what="subspace")
-    vectors = doc["vectors"]
-    if not isinstance(vectors, list):
-        raise ParseError("vectors must be a list of coordinate lists")
-    parsed = []
-    for vec in vectors:
-        if not isinstance(vec, list):
-            raise ParseError("each vector must be a list of scalar texts")
-        parsed.append([parse_scalar(x, field) for x in vec])
+    parsed = _vector_list(doc, "vectors", "vector", field)
     try:
         return Subspace(ambient_dim, parsed, field)
     except (DimensionMismatch, ValueError) as exc:

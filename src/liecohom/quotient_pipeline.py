@@ -32,10 +32,11 @@ from .ce_complex import (
     wedge,
 )
 from .errors import DimensionMismatch, InternalCheckFailed, ParseError
-from .field_arith import _echelon, _echelon_insert, _reduce_against, parse_scalar
+from .field_arith import _echelon, _echelon_insert
 from .lie_core import (
     _check_same_space,
     _require_keys,
+    _vector_list,
     algebra_from_json,
     algebra_to_json,
     quotient_algebra,
@@ -135,8 +136,8 @@ def chain_iso_check(L, h):
     each built once.  One echelon of the pulled-back basis answers both
     span questions: the basis is independent when every form inserts into
     it, and then, with the horizontal space of that same dimension, the
-    two spaces agree exactly when every horizontal form reduces to zero
-    against it.  The forms' coefficient dicts are the engine's rows.
+    two spaces agree exactly when no horizontal form inserts.  The forms'
+    coefficient dicts are the engine's rows.
     """
     return _chain_iso_check(L, h, quotient_algebra(L, h))
 
@@ -163,7 +164,7 @@ def _chain_iso_check(L, h, qd):
             if _echelon_insert(echelon, pb.coeffs) is None:
                 return (k, None, "pulled-back basis is linearly dependent")
         for f in hor.values():
-            if _reduce_against(echelon, f.coeffs):
+            if _echelon_insert(echelon, f.coeffs) is not None:
                 return (k, basis_form(field, q, next(iter(table))),
                         "pullback leaves the horizontal subspace")
         for I, pb in table.items():
@@ -227,14 +228,7 @@ def pipeline_input_from_json(doc):
     if not isinstance(ideal_doc, dict):
         raise ParseError("ideal must be a JSON object")
     if set(ideal_doc) == {"torus_directions"}:
-        raw = ideal_doc["torus_directions"]
-        if not isinstance(raw, list):
-            raise ParseError("torus_directions must be a list of coordinate lists")
-        directions = []
-        for vec in raw:
-            if not isinstance(vec, list):
-                raise ParseError("each direction must be a list of scalar texts")
-            directions.append([parse_scalar(x, algebra.field) for x in vec])
+        directions = _vector_list(ideal_doc, "torus_directions", "direction", algebra.field)
         try:
             ideal = torus_ideal_from_directions(algebra.dim, directions, algebra.field)
         except DimensionMismatch as exc:

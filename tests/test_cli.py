@@ -194,6 +194,17 @@ DOCUMENT_REFUSALS = [
      "subspace vector of length 2, expected 3"),
     ("direction_length", _torus_doc([["1", "0", "0"], ["1"]]),
      "torus direction of length 1, expected 3"),
+    ("directions", _torus_doc({}), "torus_directions must be a list of coordinate lists"),
+    ("dimension", _so3_with(dimension=-1), "dimension must be a nonnegative integer"),
+    # the algebra's constructor checks the dimension, after the whole document is read
+    ("dimension_after_brackets", _so3_with(dimension=-1, brackets={}), "brackets must be a list"),
+    ("indeterminate", _so3_with(field={"rational_function_in": "1a"}),
+     "invalid indeterminate name '1a'"),
+    ("coeff_not_text", _so3_with(brackets=[{"i": 1, "j": 2, "terms": [{"k": 3, "coeff": 5}]}]),
+     "scalar must be given as text, got 5"),
+    ("exponent", _so3_with(field={"rational_function_in": "a"},
+                           brackets=[{"i": 1, "j": 2, "terms": [{"k": 3, "coeff": "a^a"}]}]),
+     "exponent must be a nonnegative integer literal"),
 ]
 
 

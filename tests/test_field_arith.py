@@ -26,7 +26,6 @@ from liecohom.field_arith import (
     _echelon,
     _echelon_insert,
     _rank_and_kernel,
-    _reduce_against,
     _sparse_row,
     format_scalar,
     parse_scalar,
@@ -66,6 +65,36 @@ def test_scalar_arith_mixed_fields():
         scalar_arith(Fraction(2, 3), A / (A + 1), "add")
     with pytest.raises(MixedFields):
         A + Field("b").generator()
+
+
+LIBRARY_REFUSALS = [
+    ("zero_denominator", lambda: RationalFunction("a", 1, 0), DivisionByZero,
+     "rational function with zero denominator"),
+    ("poly_divmod_by_zero", lambda: divmod(Poly((1, 2)), Poly()), DivisionByZero,
+     "polynomial division by zero"),
+    ("as_fraction_of_a", lambda: A.as_fraction(), ValueError,
+     "not a constant rational function"),
+    ("divide_by_zero", lambda: A / FA.zero, DivisionByZero,
+     "division by the zero rational function"),
+    ("generator_of_Q", lambda: QQ.generator(), ValueError, "Q has no indeterminate"),
+    ("coerce_object", lambda: FA.coerce(object()), MixedFields,
+     "expected an element of Q(a), got <object object at "),
+    ("field_of_object", lambda: field_arith.field_of(object()), TypeError,
+     "not a scalar: <object object at "),
+    ("unknown_operation", lambda: scalar_arith(1, 2, "pow"), ValueError,
+     "unknown operation 'pow'"),
+    ("format_object", lambda: format_scalar(object()), TypeError,
+     "not a scalar: <object object at "),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in LIBRARY_REFUSALS],
+                         ids=[case[0] for case in LIBRARY_REFUSALS])
+def test_library_refusals(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value).startswith(message)
 
 
 def test_canonical_forms():
@@ -378,12 +407,16 @@ def test_echelon_insert_keeps_the_greedy_independent_set(field):
         assert len(echelon) == len(kept) == _oracle.gauss_rank(vectors)
         for r, (lead, row) in enumerate(echelon):
             assert all(earlier not in row for earlier, _ in echelon[:r])
-        # membership: reduction leaves zero exactly on the span
+        # membership: insertion into a copy appends nothing exactly on the span
         for v in vectors + [[field.one] * n]:
-            reduced = _reduce_against(echelon, _sparse_row(v))
-            _dense(reduced, n, field)
-            assert all(lead not in reduced for lead, _ in echelon)
-            assert (not reduced) == (_oracle.gauss_rank(kept + [v]) == len(kept))
+            copy = list(echelon)
+            reduced = _echelon_insert(copy, _sparse_row(v))
+            assert (reduced is None) == (_oracle.gauss_rank(kept + [v]) == len(kept))
+            assert copy[:len(echelon)] == echelon
+            assert len(copy) == len(echelon) + (reduced is not None)
+            if reduced is not None:
+                _dense(reduced, n, field)
+                assert all(lead not in reduced for lead, _ in echelon)
 
 
 def _oracle_kernel(rref_rows, pivots, ncols, field):

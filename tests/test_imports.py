@@ -104,7 +104,7 @@ def test_docstring_examples_run():
     assert attempted >= 1
 
 
-ECHELON_READERS = {"_echelon_insert", "_reduce_against"}
+ECHELON_READERS = {"_echelon_insert"}
 
 
 def _calls(node, names):
@@ -134,7 +134,7 @@ def _echelon_bindings(func):
 
 def echelon_misuses(source):
     """Functions that build or read an echelon by hand: a call of
-    _echelon_insert or _reduce_against whose first argument is not an
+    _echelon_insert whose first argument is not an
     echelon name, or a use of an echelon name anywhere but there or as the
     value assigned to another echelon name.  An echelon name is bound in
     its function only by a call of _echelon, as the first target of a
@@ -189,10 +189,10 @@ def test_detects_an_echelon_built_or_read_by_hand():
         "def listed(rows):\n    e = []\n    for r in rows:\n        _echelon_insert(e, r)\n\n"
         "def measured(rows):\n    e = _echelon(rows)\n    return len(e)\n\n"
         "def rebound(rows, r):\n    e = _echelon(rows)\n    e = list(e)\n"
-        "    return _reduce_against(e, r)\n\n"
-        "def passed_in(e, r):\n    return _reduce_against(e, r)\n\n"
+        "    return _echelon_insert(e, r)\n\n"
+        "def passed_in(e, r):\n    return _echelon_insert(e, r)\n\n"
         "def owned(rows, r):\n    e = _echelon()\n    _echelon_insert(e, r)\n"
-        "    return _reduce_against(e, r)\n\n"
+        "    return _echelon_insert(e, r)\n\n"
         "def unpacked_measured(c, one):\n    e, p, k = _rank_and_kernel(c, one)\n"
         "    return len(e)\n\n"
         "def unpacked_owned(c, one, v):\n    e, p, k = _rank_and_kernel(c, one)\n"

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -57,6 +58,23 @@ def test_bracket_basis_and_antisymmetry():
 def test_basis_vector_refuses_an_index_that_is_no_basis_index(index):
     with pytest.raises(DimensionMismatch):
         so3().basis_vector(index)
+
+
+@pytest.mark.parametrize("index", [0, 4, 1.5, 1.0, True], ids=["0", "n+1", "1.5", "1.0", "True"])
+@pytest.mark.parametrize("method, arity", [("basis_vector", 1), ("bracket_basis", 2),
+                                           ("structure_constant", 3)])
+def test_index_readers_refuse_an_index_that_is_no_basis_index(method, arity, index):
+    # in each position, beside valid indices and beside itself, so that
+    # neither a table lookup nor the i == j shortcut answers first
+    read = getattr(so3(), method)
+    message = re.escape("basis index %r out of range" % (index,))
+    for position in range(arity):
+        args = [1, 2, 3][:arity]
+        args[position] = index
+        with pytest.raises(DimensionMismatch, match=message):
+            read(*args)
+    with pytest.raises(DimensionMismatch, match=message):
+        read(*[index] * arity)
 
 
 def test_bracket_checks_both_arguments_through_the_gate():

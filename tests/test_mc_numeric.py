@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liecohom import mc_numeric
 from liecohom.catalog import CATALOG_KEYS, catalog_entry
 from liecohom.ce_complex import ExteriorForm, ce_differential, horizontal_basis, index_tuples
 from liecohom.errors import DegreeOutOfRange, DimensionMismatch, InvalidParameter, SingularMatrix
@@ -129,16 +130,17 @@ def test_determinism():
     assert c.max_abs_error != a.max_abs_error
 
 
-def loop_check(n, samples, step, seed):
+def loop_check(n, samples, step, seed, threshold):
     """Reference for maurer_cartan_check: the same draws, one sample at a
-    time through the public one-sample functions."""
+    time through the public one-sample functions, a draw whose determinant
+    is at most threshold redrawn."""
     rng = np.random.default_rng(seed)
     max_err = 0.0
     resampled = 0
     for _ in range(samples):
         while True:
             g = np.eye(n) + PERTURBATION * rng.uniform(-1.0, 1.0, size=(n, n))
-            if abs(np.linalg.det(g)) > DET_THRESHOLD:
+            if abs(np.linalg.det(g)) > threshold:
                 break
             resampled += 1
         v = rng.uniform(-1.0, 1.0, size=(n, n))
@@ -149,13 +151,21 @@ def loop_check(n, samples, step, seed):
     return max_err, resampled
 
 
-def test_stacked_check_equals_one_sample_loop_bit_for_bit():
+def test_stacked_check_equals_one_sample_loop_bit_for_bit(monkeypatch):
     steps = [DEFAULT_STEP] + [DEFAULT_STEP * f for f in (10.0, 5.0, 2.5, 1.25)]
     for n in (1, 2, 3, 4):
         for seed in (0, 1, 7, 2**62 + 5):
             for step in steps:
                 result = maurer_cartan_check(n, samples=30, tol=1e-6, step=step, seed=seed)
-                assert (result.max_abs_error, result.resampled) == loop_check(n, 30, step, seed)
+                assert ((result.max_abs_error, result.resampled)
+                        == loop_check(n, 30, step, seed, DET_THRESHOLD))
+    # a raised threshold makes some draws redraw, which must match too
+    monkeypatch.setattr(mc_numeric, "DET_THRESHOLD", 0.95)
+    for seed in range(5):
+        result = maurer_cartan_check(1, samples=20, tol=1e-6, seed=seed)
+        assert result.resampled > 0
+        assert ((result.max_abs_error, result.resampled)
+                == loop_check(1, 20, DEFAULT_STEP, seed, 0.95))
 
 
 def test_singular_displaced_point_raises():
@@ -167,7 +177,7 @@ def test_singular_displaced_point_raises():
     v = rng.uniform(-1.0, 1.0)
     step = abs(g / v)
     with pytest.raises(SingularMatrix):
-        loop_check(1, 5, step, seed)
+        loop_check(1, 5, step, seed, DET_THRESHOLD)
     with pytest.raises(SingularMatrix):
         maurer_cartan_check(1, samples=5, step=step, seed=seed)
 
