@@ -25,6 +25,7 @@ from .ce_complex import (
 from .errors import (
     ArityMismatch,
     DegreeOutOfRange,
+    DependentBasis,
     DimensionCapExceeded,
     DimensionMismatch,
     DivisionByZero,

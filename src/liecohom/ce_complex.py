@@ -23,7 +23,10 @@ per call, not once per term, with the same helpers evaluate uses.
 
 d is built from the structure constants instead: on 1-forms the sum reads
 d t[m] = -sum over i < j of c^m_ij t[i,j], and the graded Leibniz rule
-extends it to every basis tuple, one sparse column at a time.
+extends it to every basis tuple, one sparse column at a time.  Both steps
+live in lie_core (_one_form_differentials, _d_basis), whose jacobi_check
+reads the Jacobi identity off the same expansion as d^2 = 0 in degree 1:
+_admit refuses exactly the algebras whose complex would not be one.
 
 field_arith's elimination engine works on sparse rows keyed by index
 tuple, and same-length tuples sort in the lex order of index_tuples, so
@@ -48,6 +51,7 @@ from .errors import (
     DimensionCapExceeded,
     DimensionMismatch,
     InternalCheckFailed,
+    InvalidParameter,
     JacobiViolation,
 )
 from .field_arith import (
@@ -61,7 +65,14 @@ from .field_arith import (
     _vector,
     format_scalar,
 )
-from .lie_core import _check_same_space, _integral, jacobi_check
+from .lie_core import (
+    _check_same_space,
+    _d_basis,
+    _integral,
+    _merge_sign,
+    _one_form_differentials,
+    jacobi_check,
+)
 
 DEFAULT_MAX_DIM = 20
 
@@ -252,25 +263,6 @@ def evaluate(form, args):
                              _prepared_args(field, form.ambient, args))
 
 
-def _merge_sign(lhs, rhs):
-    """Merge two disjoint increasing tuples; sign counts the transpositions."""
-    merged = []
-    inversions = 0
-    i = j = 0
-    while i < len(lhs) and j < len(rhs):
-        if lhs[i] < rhs[j]:
-            merged.append(lhs[i])
-            i += 1
-        else:
-            merged.append(rhs[j])
-            # rhs[j] jumps over the remaining entries of lhs
-            inversions += len(lhs) - i
-            j += 1
-    merged.extend(lhs[i:])
-    merged.extend(rhs[j:])
-    return tuple(merged), -1 if inversions % 2 else 1
-
-
 def wedge(a, b):
     """Exterior product; tuples sharing an index contribute nothing."""
     _check_same_space("forms", a.ambient, a.field, b.ambient, b.field)
@@ -324,40 +316,6 @@ def shuffle_eval(alpha, beta, args):
                 term = -term
             total = total + term
     return total
-
-
-def _one_form_differentials(L):
-    """d t[m] = -sum over i < j of c^m_ij t[i,j], as {m: {(i, j): -c^m_ij}}."""
-    dt = {}
-    for pair, terms in L.brackets.items():
-        for m, c in terms.items():
-            dt.setdefault(m, {})[pair] = -c
-    return dt
-
-
-def _d_basis(dt, I):
-    """d t[I] as {J: coeff} by the graded Leibniz rule.
-
-    d(t[I_0] ^ ... ^ t[I_k-1]) = sum over p of (-1)^p t[I_0] ^ ... ^ d t[I_p] ^ ...;
-    each d t[I_p] is a 2-form, so it moves to the front without a sign and
-    is merged into the remaining indices.  Terms repeating an index vanish.
-    The result may hold zero coefficients where terms cancelled.
-    """
-    out = {}
-    for p, m in enumerate(I):
-        terms = dt.get(m)
-        if not terms:
-            continue
-        rest = I[:p] + I[p + 1 :]
-        for (i, j), c in terms.items():
-            if i in rest or j in rest:
-                continue
-            J, sign = _merge_sign((i, j), rest)
-            if (sign < 0) != (p % 2 == 1):
-                c = -c
-            prev = out.get(J)
-            out[J] = c if prev is None else prev + c
-    return out
 
 
 def _combination(n, degree, field, terms):
@@ -550,8 +508,12 @@ class CohomologyReport:
 
 
 def _admit(L, max_dim):
-    """Refuse L before any work on its complex: DimensionCapExceeded past
-    the cap, then JacobiViolation with every violating triple."""
+    """Refuse L before any work on its complex: InvalidParameter for a cap
+    that is not a nonnegative integer, DimensionCapExceeded past the cap,
+    then JacobiViolation with every violating triple."""
+    if not _integral(max_dim) or max_dim < 0:
+        raise InvalidParameter("dimension cap must be a nonnegative integer, got %r"
+                               % (max_dim,))
     if L.dim > max_dim:
         raise DimensionCapExceeded(
             "dimension %d exceeds cap %d (the complex has 2^n basis forms)"

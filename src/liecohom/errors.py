@@ -25,6 +25,10 @@ class DimensionMismatch(Error, ValueError):
     """Vector or matrix shapes do not line up."""
 
 
+class DependentBasis(Error, ValueError):
+    """Vectors given as the basis of a subspace are linearly dependent."""
+
+
 class ArityMismatch(Error, ValueError):
     """A form was evaluated on the wrong number of arguments."""
 
@@ -40,8 +44,8 @@ class DimensionCapExceeded(Error, ValueError):
 
 class InvalidParameter(Error, ValueError):
     """A numeric parameter is out of range: a sample count that is not an
-    integer of at least 1, or a step or tolerance that is not positive and
-    finite."""
+    integer of at least 1, a step or tolerance that is not positive and
+    finite, or a dimension cap that is not a nonnegative integer."""
 
 
 class SingularMatrix(Error, ValueError):

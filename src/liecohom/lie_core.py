@@ -4,6 +4,13 @@ An algebra lives over Q or Q(a) and is described by the brackets of basis
 pairs [e_i, e_j] for i < j; everything else follows by bilinearity and
 antisymmetry.  Indices are 1-based here and in every file format.
 
+This is the one module that expands the structure constants into the
+Chevalley-Eilenberg differential: _one_form_differentials tabulates
+d t[m] = -sum over i < j of c^m_ij t[i,j], and _d_basis extends it to any
+basis tuple by the graded Leibniz rule.  ce_complex builds the complex
+from these two, and jacobi_check reads the Jacobi identity off them as
+d^2 = 0 in degree 1, so admission and the complex share one expansion.
+
 _check_same_space is the package's one check that two objects live on the
 same F^n: DimensionMismatch first, then MixedFields.  field_arith._vector
 checks each dense vector given here for its length and then its field.
@@ -12,6 +19,7 @@ checks each dense vector given here for its length and then its field.
 from numbers import Integral
 
 from .errors import (
+    DependentBasis,
     DimensionMismatch,
     InternalCheckFailed,
     MixedFields,
@@ -164,41 +172,90 @@ def bracket(L, x, y):
     return out
 
 
-def _bracket_indices(L):
-    """The indices that occur in some bracket pair, in increasing order."""
-    return sorted({i for pair in L.brackets for i in pair})
+def _merge_sign(lhs, rhs):
+    """Merge two disjoint increasing tuples; sign counts the transpositions."""
+    merged = []
+    inversions = 0
+    i = j = 0
+    while i < len(lhs) and j < len(rhs):
+        if lhs[i] < rhs[j]:
+            merged.append(lhs[i])
+            i += 1
+        else:
+            merged.append(rhs[j])
+            # rhs[j] jumps over the remaining entries of lhs
+            inversions += len(lhs) - i
+            j += 1
+    merged.extend(lhs[i:])
+    merged.extend(rhs[j:])
+    return tuple(merged), -1 if inversions % 2 else 1
+
+
+def _one_form_differentials(L):
+    """d t[m] = -sum over i < j of c^m_ij t[i,j], as {m: {(i, j): -c^m_ij}}."""
+    dt = {}
+    for pair, terms in L.brackets.items():
+        for m, c in terms.items():
+            dt.setdefault(m, {})[pair] = -c
+    return dt
+
+
+def _d_basis(dt, I):
+    """d t[I] as {J: coeff} by the graded Leibniz rule.
+
+    d(t[I_0] ^ ... ^ t[I_k-1]) = sum over p of (-1)^p t[I_0] ^ ... ^ d t[I_p] ^ ...;
+    each d t[I_p] is a 2-form, so it moves to the front without a sign and
+    is merged into the remaining indices.  Terms repeating an index vanish.
+    The result may hold zero coefficients where terms cancelled.
+    """
+    out = {}
+    for p, m in enumerate(I):
+        terms = dt.get(m)
+        if not terms:
+            continue
+        rest = I[:p] + I[p + 1 :]
+        for (i, j), c in terms.items():
+            if i in rest or j in rest:
+                continue
+            J, sign = _merge_sign((i, j), rest)
+            if (sign < 0) != (p % 2 == 1):
+                c = -c
+            prev = out.get(J)
+            out[J] = c if prev is None else prev + c
+    return out
 
 
 def jacobi_check(L):
     """All Jacobi identity violations, as (i, j, k, residual) with exact residuals.
 
     The residual of i < j < k is [[e_i, e_j], e_k] + [[e_j, e_k], e_i] +
-    [[e_k, e_i], e_j] as a coordinate vector, expanded over the sparse
-    bracket table.  An empty list means the table defines a Lie algebra.
-    Only triples made of a bracket pair and an index k that occurs in some
-    bracket pair are visited, in lex order: each term of any other residual
-    takes a bracket of two basis vectors that is zero.
+    [[e_k, e_i], e_j] as a coordinate vector.  Its coordinate m is the
+    coefficient of t[i,j,k] in d(d t[m]), so the identity is d^2 = 0 in
+    degree 1, and the violations are read off d^2: d t[m] holds
+    -c^m_ab t[a,b], so each bracket pair (a, b) expands d t[a,b] once
+    (_d_basis) and adds -c^m_ab times it into the residuals.  The cost
+    follows the bracket pairs, not the dimension.  Violations come in lex
+    order of the triples; an empty list means the table defines a Lie
+    algebra.
     """
-    table = {}
-    for (i, j), terms in L.brackets.items():
-        table[(i, j)] = terms
-        table[(j, i)] = {k: -c for k, c in terms.items()}
-    indices = _bracket_indices(L)
-    triples = {tuple(sorted((i, j, k))) for i, j in L.brackets
-               for k in indices if k != i and k != j}
-    violations = []
-    for i, j, k in sorted(triples):
-        residual = {}
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            for l, c in table.get((x, y), {}).items():
-                for m, s in table.get((l, z), {}).items():
+    dt = _one_form_differentials(L)
+    d_pairs = {pair: _d_basis(dt, pair) for pair in L.brackets}
+    residuals = {}
+    for m, terms in dt.items():
+        # d(d t[m]) = sum over (a, b) of -c^m_ab d t[a,b]
+        for pair, c in terms.items():
+            for J, coeff in d_pairs[pair].items():
+                if coeff:
+                    residual = residuals.setdefault(J, {})
                     prev = residual.get(m)
-                    residual[m] = c * s if prev is None else prev + c * s
-        if any(residual.values()):
+                    residual[m] = c * coeff if prev is None else prev + c * coeff
+    violations = []
+    for J in sorted(residuals):
+        if any(residuals[J].values()):
             vec = L.zero_vector()
-            for m, value in residual.items():
+            for m, value in residuals[J].items():
                 vec[m - 1] = value
-            violations.append((i, j, k, vec))
+            violations.append(J + (vec,))
     return violations
 
 
@@ -214,7 +271,7 @@ class Subspace:
         basis = [_vector(field, v, ambient_dim, "subspace vector") for v in basis]
         echelon = _echelon()
         if any(_echelon_insert(echelon, _sparse_row(v)) is None for v in basis):
-            raise ValueError("subspace basis is linearly dependent")
+            raise DependentBasis("subspace basis is linearly dependent")
         self.ambient_dim = ambient_dim
         self.field = field
         self.basis = basis
@@ -269,7 +326,7 @@ def ideal_check(L, h):
     """
     _check_same_space("subspace and algebra", h.ambient_dim, h.field, L.dim, L.field)
     echelon = _echelon(_sparse_row(w) for w in h.basis)
-    for i in _bracket_indices(L):
+    for i in sorted({i for pair in L.brackets for i in pair}):
         for w in h.basis:
             result = bracket(L, L.basis_vector(i), w)
             if _echelon_insert(echelon, _sparse_row(result)) is not None:
@@ -443,7 +500,7 @@ def subspace_from_json(doc, ambient_dim, field):
     parsed = _vector_list(doc, "vectors", "vector", field)
     try:
         return Subspace(ambient_dim, parsed, field)
-    except (DimensionMismatch, ValueError) as exc:
+    except (DimensionMismatch, DependentBasis) as exc:
         raise ParseError(str(exc)) from exc
 
 

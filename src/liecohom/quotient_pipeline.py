@@ -23,10 +23,8 @@ from .ce_complex import (
     _admit,
     _cohomology,
     _combination,
-    _d_basis,
     _d_form,
     _horizontal_powers,
-    _one_form_differentials,
     _wedge_powers,
     basis_form,
     wedge,
@@ -35,6 +33,8 @@ from .errors import DimensionMismatch, InternalCheckFailed, ParseError
 from .field_arith import _echelon, _echelon_insert
 from .lie_core import (
     _check_same_space,
+    _d_basis,
+    _one_form_differentials,
     _require_keys,
     _vector_list,
     algebra_from_json,

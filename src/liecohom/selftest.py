@@ -250,8 +250,6 @@ def suite_leibniz(rng, tol, step):
     for entry in selftest_entries():
         L = entry.algebra
         n = L.dim
-        if n > 6:
-            continue
         for k in range(1, n + 1):
             for idx in combinations(range(1, n + 1), k):
                 forms = [basis_form(L.field, n, (a,)) for a in idx]

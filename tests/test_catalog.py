@@ -1,6 +1,8 @@
 import copy
 import io
+import random
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +16,11 @@ from liecohom.catalog import (
 from liecohom.ce_complex import cohomology
 from liecohom.errors import ParseError
 from liecohom.quotient_pipeline import DenseQuotientInput, dense_quotient_cohomology
-from liecohom.selftest import SUITES, run_selftest
+from liecohom import selftest
+from liecohom.field_arith import QQ
+from liecohom.lie_core import LieAlgebra
+from liecohom.mc_numeric import DEFAULT_STEP, DEFAULT_TOL
+from liecohom.selftest import SUITES, SuiteFailure, run_selftest
 
 
 def test_keys_and_descriptions():
@@ -109,6 +115,53 @@ def test_selftest_suite_roster():
     assert len(set(names)) == 13
     assert "jacobi_identity" in names
     assert "maurer_cartan_numeric" in names
+
+
+# an algebra that fails the Jacobi identity: [[e1,e2],e3] + ... = e3
+BAD_JACOBI = LieAlgebra("bad", 3, QQ, {(1, 2): {1: 1}, (1, 3): {3: 1}})
+
+# (suite, the function of selftest it reads, a stand-in given the real
+# function, the SuiteFailure message); one_form_sign and
+# maurer_cartan_numeric have their failure paths tested elsewhere
+SUITE_FAILURES = [
+    ("scalar_field_ops", "parse_scalar", lambda real: lambda text, field: None,
+     "rational parse/format round trip broke at '0'"),
+    ("rational_linear_algebra", "_bareiss", lambda real: lambda rows: (-1, None),
+     "echelon rank and fraction-free rank disagree"),
+    ("jacobi_identity", "jacobi_check", lambda real: lambda L: [],
+     "corruption slipped past jacobi_check"),
+    ("quotient_construction", "ideal_check", lambda real: lambda L, h: (1, [0], [1]),
+     "catalog ideal fails ideal_check for abelian_1"),
+    # the differential of BAD_JACOBI, whose square is nonzero in degree 1
+    ("d_squared_zero", "ce_differential", lambda real: lambda L, k: real(BAD_JACOBI, k),
+     "d squared nonzero on abelian_2 in degree 1"),
+    ("shuffle_evaluation", "shuffle_eval", lambda real: lambda alpha, beta, args: None,
+     "shuffle evaluation disagrees with the wedge"),
+    ("graded_leibniz", "leibniz_check", lambda real: lambda L, forms: forms[0],
+     "Leibniz fails on abelian_1 for 1-forms (1,)"),
+    ("wedge_commutation", "wedge", lambda real: lambda a, b: a,
+     "2-forms must commute with everything"),
+    ("horizontal_subcomplex", "horizontal_basis", lambda real: lambda L, h, k: [],
+     "horizontal dimension wrong for abelian_1"),
+    ("chain_isomorphism", "chain_iso_check", lambda real: lambda L, h: (0, None, "x"),
+     "chain isomorphism fails for abelian_1: (0, None, 'x')"),
+    ("catalog_betti", "cohomology", lambda real: lambda L: SimpleNamespace(betti=[2]),
+     "abelian_1: betti [2], expected [1, 1]"),
+]
+
+
+def test_suite_failures_cover_every_exact_suite():
+    covered = {suite for suite, _, _, _ in SUITE_FAILURES}
+    assert covered == {name for name, _ in SUITES} - {"one_form_sign", "maurer_cartan_numeric"}
+
+
+@pytest.mark.parametrize("suite, name, stand_in, message", SUITE_FAILURES,
+                         ids=[case[0] for case in SUITE_FAILURES])
+def test_suite_fails_when_its_predicate_fails(monkeypatch, suite, name, stand_in, message):
+    monkeypatch.setattr(selftest, name, stand_in(getattr(selftest, name)))
+    with pytest.raises(SuiteFailure) as info:
+        dict(SUITES)[suite](random.Random(0), DEFAULT_TOL, DEFAULT_STEP)
+    assert str(info.value) == message
 
 
 def test_run_selftest_writes_to_given_stream():

@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
-and every docstring example in the package runs.  Six decisions have one
+and every docstring example in the package runs.  Seven decisions have one
 owner each: only field_arith builds or looks inside an echelon, only
-field_arith knows how a scalar is stored, one function raises
+field_arith knows how a scalar is stored, only lie_core expands the
+structure constants, one function raises
 DimensionCapExceeded, one raises DegreeOutOfRange, one compares two
 objects' ambient dimensions and fields, and one, field_arith._vector,
 checks a dense vector's length and coerces its entries.  No json.dumps
@@ -245,6 +246,49 @@ def test_detects_a_look_inside_a_scalar():
                                       (4, "poly_gcd"), (6, "RationalFunction"),
                                       (6, "_POLY_ONE"), (8, "den"), (8, "denom"),
                                       (8, "ints"), (8, "num")]
+
+
+EXPANSION = {"_one_form_differentials", "_d_basis", "_merge_sign"}
+# the selftest copies a catalog table to corrupt it
+BRACKET_READERS = {"selftest.py:suite_jacobi"}
+
+
+def structure_constant_readers(source):
+    """(qualified names of the functions that read a .brackets attribute,
+    names of the expansion's functions defined anywhere) in source."""
+    readers, defined = set(), set()
+    tree = ast.parse(source)
+    for name, node in _qualified_walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "brackets"
+                and isinstance(node.ctx, ast.Load)):
+            readers.add(name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in EXPANSION:
+            defined.add(node.name)
+    return readers, defined
+
+
+def test_only_lie_core_expands_the_structure_constants():
+    # lie_core tabulates d on 1-forms, extends it by the Leibniz rule and
+    # reads the Jacobi identity off d^2; every other module asks it
+    readers, definitions = [], []
+    for path in MODULES + [Path(liecohom.__file__)]:
+        found, defined = structure_constant_readers(path.read_text(encoding="utf-8"))
+        if path.name != "lie_core.py":
+            readers += ["%s:%s" % (path.name, name) for name in sorted(found, key=str)]
+        definitions += ["%s:%s" % (path.name, name) for name in sorted(defined)]
+    assert set(readers) == BRACKET_READERS
+    assert sorted(definitions) == sorted("lie_core.py:" + name for name in EXPANSION)
+
+
+def test_detects_the_structure_constants_expanded_elsewhere():
+    source = ("def _d_basis(dt, I):\n    return {}\n\n"
+              "def jacobi(L):\n    return [t for t in L.brackets.items()]\n\n"
+              "class C:\n    def m(self, L):\n        return L.brackets\n\n"
+              "def store(L, table):\n    L.brackets = table\n\n"
+              "def nested():\n    def _merge_sign(a, b):\n        pass\n")
+    assert structure_constant_readers(source) == ({"jacobi", "C.m"},
+                                                  {"_d_basis", "_merge_sign"})
 
 
 def raising_functions(source, error):

@@ -12,11 +12,13 @@ import _oracle
 from _families import filiform, heisenberg as heisenberg_family, solv, strictly_upper
 from liecohom.catalog import catalog_entry, catalog_keys, selftest_entries
 from liecohom.errors import (
+    DependentBasis,
     DimensionMismatch,
     MixedFields,
     NotAnIdeal,
     ParseError,
 )
+import liecohom
 from liecohom import lie_core
 from liecohom.field_arith import Field, Matrix, QQ
 from liecohom.lie_core import (
@@ -135,27 +137,64 @@ def test_jacobi_violation_with_exact_residual():
     assert _oracle.jacobiator(table, 3, 1, 2, 3) == [Fraction(0), Fraction(0), Fraction(1)]
 
 
+def _corrupted(L, slots, values):
+    """L's table with values added at the (i, j, k) slots, as an algebra."""
+    table = {pair: dict(terms) for pair, terms in L.brackets.items()}
+    for (i, j, k), value in zip(slots, values):
+        slot = table.setdefault((i, j), {})
+        slot[k] = slot.get(k, L.field.zero) + value
+    return LieAlgebra("bad", L.dim, L.field, table)
+
+
+def _qa_pair(x):
+    """The reduced (num, den) of a scalar of Q or Q(a), the package's or the
+    oracle's, so that both sides of a residual compare."""
+    if isinstance(x, _oracle.QaScalar):
+        return x.num, x.den
+    if isinstance(x, (int, Fraction)):
+        return _oracle.reduce_fraction([x], [1])
+    return _oracle.reduce_fraction(list(x.num.coeffs), list(x.den.coeffs))
+
+
 def test_jacobi_check_matches_oracle_on_single_entry_corruptions():
+    # single corrupted entries over Q, then two to four corrupted entries
+    # at once over Q and over Q(a), each against the oracle's Jacobiator
     rng = random.Random(23)
-    caught = 0
+    slots = lambda n: [(i, j, k) for i, j in combinations(range(1, n + 1), 2)
+                       for k in range(1, n + 1)]
+    cases = []
     for L in (so3(), heisenberg(), filiform(6), heisenberg_family(2), strictly_upper(4)):
-        n = L.dim
-        slots = [(i, j, k) for i, j in combinations(range(1, n + 1), 2)
-                 for k in range(1, n + 1)]
-        for i, j, k in rng.sample(slots, min(len(slots), 25)):
-            table = {pair: dict(terms) for pair, terms in L.brackets.items()}
-            slot = table.setdefault((i, j), {})
-            slot[k] = slot.get(k, 0) + Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
-            bad = LieAlgebra("bad", n, QQ, table)
-            expected = []
-            constants = _oracle.structure_constants(bad)
-            for triple in combinations(range(1, n + 1), 3):
-                residual = _oracle.jacobiator(constants, n, *triple)
-                if any(residual):
-                    expected.append(triple + (residual,))
-            assert jacobi_check(bad) == expected
-            caught += bool(expected)
-    assert caught > 50
+        for slot in rng.sample(slots(L.dim), min(len(slots(L.dim)), 25)):
+            value = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+            cases.append((1, _corrupted(L, [slot], [value])))
+    q_values = (Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-3, 2))
+    qa_values = (A, A + 1, FA.one / (A + 2), -A * A, FA.one * 2)
+    sl2_a = LieAlgebra("sl2_a", 3, FA, {(1, 2): {2: 2 * A}, (1, 3): {3: -2 * A},
+                                        (2, 3): {1: FA.one / A}})
+    for L in (so3(), filiform(6), strictly_upper(4), solv(4), solv(5), sl2_a):
+        values = q_values if L.field == QQ else qa_values
+        for _ in range(12):
+            count = rng.randint(2, 4)
+            cases.append((count, _corrupted(L, rng.sample(slots(L.dim), count),
+                                            [rng.choice(values) for _ in range(count)])))
+    caught = {1: 0, "several": 0, "q_a": 0}
+    for count, bad in cases:
+        n = bad.dim
+        expected = []
+        constants = _oracle.structure_constants(bad)
+        for triple in combinations(range(1, n + 1), 3):
+            residual = _oracle.jacobiator(constants, n, *triple)
+            if any(residual):
+                expected.append(triple + (residual,))
+        found = jacobi_check(bad)
+        if bad.field == QQ:
+            assert found == expected
+        assert ([(i, j, k, [_qa_pair(x) for x in r]) for i, j, k, r in found]
+                == [(i, j, k, [_qa_pair(x) for x in r]) for i, j, k, r in expected])
+        if expected:
+            caught[1 if count == 1 else "several"] += 1
+            caught["q_a"] += bad.field != QQ
+    assert caught[1] > 50 and caught["several"] > 60 and caught["q_a"] > 30, caught
 
 
 def test_selftest_jacobi_oracle_matches_jacobiator_on_all_ordered_triples():
@@ -228,6 +267,18 @@ def test_subspace_requires_independent_basis():
         Subspace(2, [[1, 0], [2, 0]], QQ)
     with pytest.raises(DimensionMismatch):
         Subspace(2, [[1, 0, 0]], QQ)
+
+
+def test_subspace_refuses_a_dependent_basis_with_a_package_error():
+    # a library caller catching liecohom.Error sees the refusal, and one
+    # catching ValueError still does; the reader turns it into a ParseError
+    with pytest.raises(DependentBasis) as info:
+        Subspace(3, [[1, 0, 1], [0, 1, 0], [2, 0, 2]], QQ)
+    assert isinstance(info.value, liecohom.Error)
+    assert isinstance(info.value, ValueError)
+    assert str(info.value) == "subspace basis is linearly dependent"
+    with pytest.raises(ParseError, match="^subspace basis is linearly dependent$"):
+        subspace_from_json({"vectors": [["1", "a"], ["a", "a^2"]]}, 2, FA)
 
 
 def test_ideal_check_heisenberg_center():

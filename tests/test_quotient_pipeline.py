@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -21,6 +22,7 @@ from liecohom.cli import main
 from liecohom.errors import (
     DimensionCapExceeded,
     DimensionMismatch,
+    InvalidParameter,
     JacobiViolation,
     MixedFields,
     NotAnIdeal,
@@ -253,8 +255,11 @@ def test_chain_iso_reports_pullback_outside_horizontal_space_over_q_a(monkeypatc
 def test_chain_iso_check_eliminates_h_and_tabulates_quotient_d_once(monkeypatch):
     # h's basis is eliminated once per check, not once per degree, and the
     # 1-form differentials are tabulated once for L and once for the
-    # quotient, not once per pulled-back basis form
+    # quotient, not once per pulled-back basis form; the third table is
+    # the one quotient_algebra's Jacobi check reads d^2 off for the quotient
     calls = {"_rank_and_kernel": 0, "_one_form_differentials": 0}
+    modules = {"_rank_and_kernel": (ce_complex, quotient_pipeline),
+               "_one_form_differentials": (lie_core, ce_complex, quotient_pipeline)}
     for name in calls:
         real = getattr(ce_complex, name)
 
@@ -262,11 +267,11 @@ def test_chain_iso_check_eliminates_h_and_tabulates_quotient_d_once(monkeypatch)
             calls[_name] += 1
             return _real(*args)
 
-        for module in (ce_complex, quotient_pipeline):
+        for module in modules[name]:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
     assert chain_iso_check(filiform(7), l7_top_ideal()) is None
-    assert calls == {"_rank_and_kernel": 1, "_one_form_differentials": 2}
+    assert calls == {"_rank_and_kernel": 1, "_one_form_differentials": 3}
 
 
 def test_chain_iso_reports_dependent_pullbacks(monkeypatch):
@@ -367,6 +372,18 @@ def test_pipeline_dimension_cap():
     small = DenseQuotientInput(LieAlgebra.abelian("a5", 5, QQ), Subspace.zero(5, QQ))
     with pytest.raises(DimensionCapExceeded):
         dense_quotient_cohomology(small, max_dim=4)
+
+
+@pytest.mark.parametrize("cap", [True, 2.5, -1, None])
+def test_both_entry_points_refuse_a_cap_that_is_no_dimension(cap):
+    # True would act as cap 1, 2.5 as cap 2 and None would escape as a
+    # TypeError; the cap is refused first, before the Jacobi check
+    bad = LieAlgebra("bad", 3, QQ, {(1, 2): {1: 1}, (1, 3): {3: 1}})
+    message = "^dimension cap must be a nonnegative integer, got %s$" % re.escape(repr(cap))
+    with pytest.raises(InvalidParameter, match=message):
+        cohomology(bad, max_dim=cap)
+    with pytest.raises(InvalidParameter, match=message):
+        dense_quotient_cohomology(DenseQuotientInput(bad, Subspace.zero(3, QQ)), max_dim=cap)
 
 
 def test_pipeline_skip_chain_iso():
