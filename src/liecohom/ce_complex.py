@@ -24,9 +24,12 @@ per call, not once per term, with the same helpers evaluate uses.
 d is built from the structure constants instead: on 1-forms the sum reads
 d t[m] = -sum over i < j of c^m_ij t[i,j], and the graded Leibniz rule
 extends it to every basis tuple, one sparse column at a time.  Both steps
-live in lie_core (_one_form_differentials, _d_basis), whose jacobi_check
-reads the Jacobi identity off the same expansion as d^2 = 0 in degree 1:
-_admit refuses exactly the algebras whose complex would not be one.
+live in lie_core: each LieAlgebra builds its 1-form table once, when it
+is constructed, and _d_basis(L, I) expands it, so no function here
+builds or passes a table.  lie_core's jacobi_check reads the Jacobi
+identity off the same expansion as d^2 = 0 in degree 1: _admit refuses
+exactly the algebras whose complex would not be one.  d_apply is the one
+coboundary of a form.
 
 field_arith's elimination engine works on sparse rows keyed by index
 tuple, and same-length tuples sort in the lex order of index_tuples, so
@@ -56,9 +59,11 @@ from .errors import (
 )
 from .field_arith import (
     Matrix,
+    _check_size,
     _cleared,
     _echelon,
     _echelon_insert,
+    _integral,
     _minor_sum,
     _rank_and_kernel,
     _sparse_row,
@@ -68,9 +73,7 @@ from .field_arith import (
 from .lie_core import (
     _check_same_space,
     _d_basis,
-    _integral,
     _merge_sign,
-    _one_form_differentials,
     jacobi_check,
 )
 
@@ -88,6 +91,7 @@ def _check_degree(k, n=None):
 
 def index_tuples(n, k):
     """All strictly increasing k-tuples from 1..n, in lexicographic order."""
+    n = _check_size(n, "dimension")
     _check_degree(k)
     return list(combinations(range(1, n + 1), k))
 
@@ -102,6 +106,7 @@ class ExteriorForm:
     __slots__ = ("ambient", "degree", "field", "coeffs")
 
     def __init__(self, ambient, degree, field, coeffs=()):
+        ambient = _check_size(ambient, "ambient dimension")
         _check_degree(degree)
         clean = {}
         for idx, value in dict(coeffs).items():
@@ -330,25 +335,18 @@ def _combination(n, degree, field, terms):
     return ExteriorForm._from_sums(n, degree, field, sums)
 
 
-def _d_form(dt, form):
-    """d form, given the 1-form differential table dt of its algebra
-    (_one_form_differentials): the sum of coeff_I * d t[I] over its tuples."""
-    return _combination(form.ambient, form.degree + 1, form.field,
-                        ((coeff, _d_basis(dt, I)) for I, coeff in form.coeffs.items()))
-
-
 def d_apply(L, form):
     """Coboundary of a form: the sum of coeff_I * d t[I] over its basis tuples.
 
     Agrees with the displayed alternating sum of the module docstring,
     which evaluate computes by definition.  The sum runs over the tuples
-    the form uses, never over a C(n, k)-long vector.  It is _d_form, which
-    a caller applying d to many forms of one algebra, like the chain-iso
-    check, calls with one 1-form table.
+    the form uses, never over a C(n, k)-long vector, and each d t[I] is
+    expanded from the 1-form table L carries (_d_basis).
     """
     _check_same_space("form and algebra", form.ambient, form.field, L.dim, L.field)
     _check_degree(form.degree, L.dim)
-    return _d_form(_one_form_differentials(L), form)
+    return _combination(form.ambient, form.degree + 1, form.field,
+                        ((coeff, _d_basis(L, I)) for I, coeff in form.coeffs.items()))
 
 
 class CoboundaryMatrix:
@@ -368,21 +366,19 @@ class CoboundaryMatrix:
         )
 
 
-def _d_columns(dt, n, k):
-    """d in degree k as sparse columns, {I: d t[I]} over the degree-k tuples
-    I in lex order, each column an engine row keyed by (k+1)-tuple, given
-    the 1-form differential table dt (_one_form_differentials)."""
-    return {I: {J: c for J, c in _d_basis(dt, I).items() if c}
-            for I in index_tuples(n, k)}
+def _d_columns(L, k):
+    """d of L in degree k as sparse columns, {I: d t[I]} over the degree-k
+    tuples I in lex order, each column an engine row keyed by (k+1)-tuple."""
+    return {I: {J: c for J, c in _d_basis(L, I).items() if c}
+            for I in index_tuples(L.dim, k)}
 
 
 def ce_differential(L, k):
     """CoboundaryMatrix in degree k, shape C(n, k+1) x C(n, k): the sparse
     columns of _d_columns laid out densely."""
     _check_degree(k, L.dim)
-    n = L.dim
-    row_index = {J: r for r, J in enumerate(index_tuples(n, k + 1))}
-    columns = _d_columns(_one_form_differentials(L), n, k)
+    row_index = {J: r for r, J in enumerate(index_tuples(L.dim, k + 1))}
+    columns = _d_columns(L, k)
     ncols = len(columns)
     flat = [L.field.zero] * (len(row_index) * ncols)
     for c, column in enumerate(columns.values()):
@@ -545,12 +541,11 @@ def _cohomology(L):
     from an admitted algebra, like a quotient of one."""
     n = L.dim
     field = L.field
-    dt = _one_form_differentials(L)
     betti, ranks, representatives = [], [], []
     # the insertion echelon of d_{k-1}'s pivot columns, a basis of the image in degree k
     image = _echelon()
     for k in range(n + 1):
-        echelon, pivots, kernel = _rank_and_kernel(_d_columns(dt, n, k), field.one)
+        echelon, pivots, kernel = _rank_and_kernel(_d_columns(L, k), field.one)
         previous = ranks[-1] if ranks else 0
         ranks.append(len(pivots))
         betti_k = len(kernel) - previous

@@ -65,7 +65,7 @@ def _json_text(value):
     keys, lists, str, int, bool and None that the commands print.
 
     json.dumps runs its pure-Python encoder whenever indent is set; this
-    writer joins a flat list of ints or of strings in one step.  An int
+    writer joins a flat list of ints in one step.  An int
     past the digit limit raises ValueError, as in json.dumps, and any other
     type TypeError.
 
@@ -101,11 +101,8 @@ def _json_parts(value, newline, put):
             return
         inner = newline + "  "
         sep = "," + inner
-        first = type(value[0])
-        if first is int and all(type(x) is int for x in value):
+        if type(value[0]) is int and all(type(x) is int for x in value):
             put("[" + inner + sep.join(map(int.__repr__, value)) + newline + "]")
-        elif first is str and all(type(x) is str for x in value):
-            put("[" + inner + sep.join(map(_quote, value)) + newline + "]")
         else:
             lead = "[" + inner
             for x in value:

@@ -45,7 +45,7 @@ class DimensionCapExceeded(Error, ValueError):
 class InvalidParameter(Error, ValueError):
     """A numeric parameter is out of range: a sample count that is not an
     integer of at least 1, a step or tolerance that is not positive and
-    finite, or a dimension cap that is not a nonnegative integer."""
+    finite, or a dimension cap or seed that is not a nonnegative integer."""
 
 
 class SingularMatrix(Error, ValueError):

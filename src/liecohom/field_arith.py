@@ -25,7 +25,9 @@ columns once for its pivots (rank counts them), a sparse kernel and the
 echelon of its pivot columns.  Only _echelon and _rank_and_kernel make an
 echelon, which other modules hand only to _echelon_insert.  rank,
 rank_and_kernel and solve_in_span take and return dense data, and _vector
-is the one gate for the length and field of every dense input.  The pivots
+is the one gate for the length and field of every dense input.
+_check_size is the one check that a size (a dimension, a matrix shape) is
+a nonnegative integer.  The pivots
 and kernel are the reduced row echelon form's, and each row of an
 insertion echelon is unique, so these answers are those of any exact
 elimination.  No other module looks inside a scalar: _cleared writes
@@ -50,6 +52,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Integral
 
 from .errors import (
     DimensionMismatch,
@@ -826,7 +829,21 @@ def _parse_atom(toks, field):
 
 
 # ---------------------------------------------------------------------------
-# dense vectors and matrices
+# sizes, dense vectors and matrices
+
+def _integral(value):
+    """True for an integer that is not a bool: JSON true and false load as
+    Python bools, and a float such as 3.0 is no index."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_size(n, what):
+    """n as an int: DimensionMismatch unless it is a nonnegative integer
+    (_integral).  what names the size in the message."""
+    if not _integral(n) or n < 0:
+        raise DimensionMismatch("%s must be a nonnegative integer" % what)
+    return int(n)
+
 
 def _vector(field, values, length, what):
     """values, a sequence, as a list in field: DimensionMismatch unless it
@@ -853,8 +870,8 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field, rows, cols, entries):
-        if rows < 0 or cols < 0:
-            raise DimensionMismatch("negative matrix shape %dx%d" % (rows, cols))
+        rows = _check_size(rows, "matrix row count")
+        cols = _check_size(cols, "matrix column count")
         self.field = field
         self.rows = rows
         self.cols = cols
@@ -864,6 +881,7 @@ class Matrix:
     def from_rows(cls, field, rows, cols=None):
         if cols is None:
             cols = len(rows[0]) if rows else 0
+        cols = _check_size(cols, "matrix column count")
         flat = [x for r in rows for x in _vector(field, r, cols, "matrix row")]
         return cls(field, len(rows), cols, flat)
 

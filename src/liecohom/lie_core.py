@@ -5,18 +5,18 @@ pairs [e_i, e_j] for i < j; everything else follows by bilinearity and
 antisymmetry.  Indices are 1-based here and in every file format.
 
 This is the one module that expands the structure constants into the
-Chevalley-Eilenberg differential: _one_form_differentials tabulates
-d t[m] = -sum over i < j of c^m_ij t[i,j], and _d_basis extends it to any
-basis tuple by the graded Leibniz rule.  ce_complex builds the complex
-from these two, and jacobi_check reads the Jacobi identity off them as
-d^2 = 0 in degree 1, so admission and the complex share one expansion.
+Chevalley-Eilenberg differential.  Each LieAlgebra tabulates
+d t[m] = -sum over i < j of c^m_ij t[i,j] once, when it is constructed,
+and _d_basis(L, I) extends that 1-form table to any basis tuple by the
+graded Leibniz rule.  No caller builds or passes a table: ce_complex
+builds the complex from _d_basis, and jacobi_check reads the Jacobi
+identity off it as d^2 = 0 in degree 1, so admission and the complex
+share one expansion.
 
 _check_same_space is the package's one check that two objects live on the
 same F^n: DimensionMismatch first, then MixedFields.  field_arith._vector
 checks each dense vector given here for its length and then its field.
 """
-
-from numbers import Integral
 
 from .errors import (
     DependentBasis,
@@ -30,8 +30,10 @@ from .field_arith import (
     Field,
     Matrix,
     QQ,
+    _check_size,
     _echelon,
     _echelon_insert,
+    _integral,
     _rank_and_kernel,
     _sparse_row,
     _vector,
@@ -50,12 +52,6 @@ def _check_same_space(what, ambient, field, other_ambient, other_field):
         raise MixedFields("%s: fields %r and %r" % (what, field, other_field))
 
 
-def _integral(value):
-    """True for an integer that is not a bool: JSON true and false load as
-    Python bools, and a float such as 3.0 is no index."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
 def _check_basis_index(i, dim):
     """DimensionMismatch unless i is an integer index in 1..dim.  type(i) is
     int is tried first: structure_constant runs this on every call."""
@@ -70,15 +66,15 @@ class LieAlgebra:
     meaning [e_i, e_j] = sum_k coeff * e_k.  Pairs and coefficients that
     are absent are zero.  The table is stored sparsely with zero
     coefficients dropped and keys sorted, so equal algebras have equal
-    tables.
+    tables.  The 1-form table d t[m] = -sum over i < j of c^m_ij t[i,j],
+    as {m: {(i, j): -c^m_ij}}, is built from it here, once; _d_basis reads
+    it.  An algebra is a value: nothing modifies it after construction.
     """
 
-    __slots__ = ("name", "dim", "field", "brackets")
+    __slots__ = ("name", "dim", "field", "brackets", "_one_forms")
 
     def __init__(self, name, dim, field, brackets):
-        if not _integral(dim) or dim < 0:
-            raise DimensionMismatch("dimension must be a nonnegative integer")
-        dim = int(dim)
+        dim = _check_size(dim, "dimension")
         table = {}
         for (i, j), terms in brackets.items():
             if not (_integral(i) and _integral(j) and 1 <= i < j <= dim):
@@ -100,6 +96,11 @@ class LieAlgebra:
         self.dim = dim
         self.field = field
         self.brackets = {key: table[key] for key in sorted(table)}
+        one_forms = {}
+        for pair, terms in self.brackets.items():
+            for m, c in terms.items():
+                one_forms.setdefault(m, {})[pair] = -c
+        self._one_forms = one_forms
 
     @classmethod
     def abelian(cls, name, dim, field=QQ):
@@ -191,26 +192,18 @@ def _merge_sign(lhs, rhs):
     return tuple(merged), -1 if inversions % 2 else 1
 
 
-def _one_form_differentials(L):
-    """d t[m] = -sum over i < j of c^m_ij t[i,j], as {m: {(i, j): -c^m_ij}}."""
-    dt = {}
-    for pair, terms in L.brackets.items():
-        for m, c in terms.items():
-            dt.setdefault(m, {})[pair] = -c
-    return dt
-
-
-def _d_basis(dt, I):
-    """d t[I] as {J: coeff} by the graded Leibniz rule.
+def _d_basis(L, I):
+    """d t[I] as {J: coeff} by the graded Leibniz rule on L's 1-form table.
 
     d(t[I_0] ^ ... ^ t[I_k-1]) = sum over p of (-1)^p t[I_0] ^ ... ^ d t[I_p] ^ ...;
     each d t[I_p] is a 2-form, so it moves to the front without a sign and
     is merged into the remaining indices.  Terms repeating an index vanish.
     The result may hold zero coefficients where terms cancelled.
     """
+    one_forms = L._one_forms
     out = {}
     for p, m in enumerate(I):
-        terms = dt.get(m)
+        terms = one_forms.get(m)
         if not terms:
             continue
         rest = I[:p] + I[p + 1 :]
@@ -238,10 +231,9 @@ def jacobi_check(L):
     order of the triples; an empty list means the table defines a Lie
     algebra.
     """
-    dt = _one_form_differentials(L)
-    d_pairs = {pair: _d_basis(dt, pair) for pair in L.brackets}
+    d_pairs = {pair: _d_basis(L, pair) for pair in L.brackets}
     residuals = {}
-    for m, terms in dt.items():
+    for m, terms in L._one_forms.items():
         # d(d t[m]) = sum over (a, b) of -c^m_ab d t[a,b]
         for pair, c in terms.items():
             for J, coeff in d_pairs[pair].items():
@@ -265,9 +257,7 @@ class Subspace:
     __slots__ = ("ambient_dim", "field", "basis")
 
     def __init__(self, ambient_dim, basis, field):
-        if not _integral(ambient_dim) or ambient_dim < 0:
-            raise DimensionMismatch("ambient dimension must be a nonnegative integer")
-        ambient_dim = int(ambient_dim)
+        ambient_dim = _check_size(ambient_dim, "ambient dimension")
         basis = [_vector(field, v, ambient_dim, "subspace vector") for v in basis]
         echelon = _echelon()
         if any(_echelon_insert(echelon, _sparse_row(v)) is None for v in basis):

@@ -27,7 +27,7 @@ import math
 
 from .ce_complex import ce_differential, index_tuples
 from .errors import DimensionMismatch, InvalidParameter, SingularMatrix
-from .lie_core import _integral
+from .field_arith import _integral
 
 DET_THRESHOLD = 1e-8
 DEFAULT_TOL = 1e-6
@@ -162,8 +162,8 @@ def maurer_cartan_check(n, samples=100, tol=DEFAULT_TOL, step=DEFAULT_STEP, seed
     SingularMatrix if a displaced point g +- step v, g +- step w is too
     close to singular, DimensionMismatch if n is not an integer of at
     least 1, and InvalidParameter if samples is not an integer of at least
-    1 or step or tol is not positive and finite.  A bool is not an integer
-    here.
+    1, step or tol is not positive and finite, or seed is not a
+    nonnegative integer.  A bool is not an integer here.
     """
     if not _integral(n) or n < 1:
         raise DimensionMismatch("matrix size must be an integer of at least 1, got %r" % (n,))
@@ -173,6 +173,8 @@ def maurer_cartan_check(n, samples=100, tol=DEFAULT_TOL, step=DEFAULT_STEP, seed
     for name, value in (("tolerance", tol), ("step", step)):
         if not (0 < value < math.inf):
             raise InvalidParameter("%s must be positive and finite, got %r" % (name, value))
+    if not _integral(seed) or seed < 0:
+        raise InvalidParameter("seed must be a nonnegative integer, got %r" % (seed,))
     import numpy as np
 
     rng = np.random.default_rng(seed)

@@ -12,7 +12,9 @@ One wedge-power builder makes both sides: wedges of the horizontal
 1-forms, and wedges of the pulled-back coordinate 1-forms.  The span
 tests hand both sides to the elimination engine as they are, since the
 coefficient dict of a form is an engine row keyed by index tuple; no form
-becomes a C(n, k)-long vector here.
+becomes a C(n, k)-long vector here.  d on either side is read off the
+1-form table its algebra built once, when it was constructed: d_apply is
+the one coboundary of a form on g, and _d_basis expands d t[I] on g/h.
 """
 
 from math import comb
@@ -23,10 +25,10 @@ from .ce_complex import (
     _admit,
     _cohomology,
     _combination,
-    _d_form,
     _horizontal_powers,
     _wedge_powers,
     basis_form,
+    d_apply,
     wedge,
 )
 from .errors import DimensionMismatch, InternalCheckFailed, ParseError
@@ -34,7 +36,6 @@ from .field_arith import _echelon, _echelon_insert
 from .lie_core import (
     _check_same_space,
     _d_basis,
-    _one_form_differentials,
     _require_keys,
     _vector_list,
     algebra_from_json,
@@ -132,12 +133,13 @@ def chain_iso_check(L, h):
     failure.
 
     One builder, _wedge_powers, makes both sides, h's basis is eliminated
-    once per check, and the 1-form differential tables of g and g/h are
-    each built once.  One echelon of the pulled-back basis answers both
-    span questions: the basis is independent when every form inserts into
-    it, and then, with the horizontal space of that same dimension, the
-    two spaces agree exactly when no horizontal form inserts.  The forms'
-    coefficient dicts are the engine's rows.
+    once per check, and d on g and on g/h is read off the 1-form table
+    each algebra carries, so the check builds no table.  One echelon of
+    the pulled-back basis answers both span questions: the basis is
+    independent when every form inserts into it, and then, with the
+    horizontal space of that same dimension, the two spaces agree exactly
+    when no horizontal form inserts.  The forms' coefficient dicts are the
+    engine's rows.
     """
     return _chain_iso_check(L, h, quotient_algebra(L, h))
 
@@ -148,8 +150,6 @@ def _chain_iso_check(L, h, qd):
     field = L.field
     horizontal = _horizontal_powers(L, h)
     pullbacks = _wedge_powers(n, field, _pulled_one_forms(qd.projection))
-    dt_L = _one_form_differentials(L)
-    dt = _one_form_differentials(qd.quotient)
     table = next(pullbacks)
     for k in range(n + 1):
         hor = next(horizontal, {})
@@ -168,9 +168,10 @@ def _chain_iso_check(L, h, qd):
                 return (k, basis_form(field, q, next(iter(table))),
                         "pullback leaves the horizontal subspace")
         for I, pb in table.items():
+            d_sigma = _d_basis(qd.quotient, I)
             rhs = _combination(n, k + 1, field,
-                               [(c, upper[J].coeffs) for J, c in _d_basis(dt, I).items()])
-            if _d_form(dt_L, pb) != rhs:
+                               [(c, upper[J].coeffs) for J, c in d_sigma.items()])
+            if d_apply(L, pb) != rhs:
                 return (k, basis_form(field, q, I), "d does not commute with pullback")
         table = upper
     return None

@@ -826,7 +826,6 @@ def test_cohomology_takes_one_reduced_echelon_form_per_degree(monkeypatch):
     # elimination whose pivots and kernel are those of the reduced form; its
     # echelon is the image of degree k+1, so no other echelon is filled
     L = filiform(7)
-    dt = ce_complex._one_form_differentials(L)
     calls, built = [], []
     real = field_arith._rank_and_kernel
 
@@ -843,7 +842,7 @@ def test_cohomology_takes_one_reduced_echelon_form_per_degree(monkeypatch):
     monkeypatch.setattr(ce_complex, "_echelon", recording_echelon)
     cohomology(L)
     assert len(calls) == 8
-    assert calls == [ce_complex._d_columns(dt, 7, k) for k in range(8)]
+    assert calls == [ce_complex._d_columns(L, k) for k in range(8)]
     assert [list(columns) for columns in calls] == [index_tuples(7, k) for k in range(8)]
     assert built == [[]]
 
@@ -984,16 +983,20 @@ def test_form_vector_round_trip():
         assert form_from_vector(QQ, n, k, full_vector(f)) == f
 
 
-@pytest.mark.parametrize("coeffs, message", [
-    ({(1,): 1}, r"index tuple \(1,\) in a degree-2 form"),
-    ({(1, 4): 1}, r"index tuple \(1, 4\) out of range"),
-    ({(0, 2): 1}, r"index tuple \(0, 2\) out of range"),
-    ({(2, 1): 1}, r"index tuple \(2, 1\) is not strictly increasing"),
-    ({(2, 2): 1}, r"index tuple \(2, 2\) is not strictly increasing"),
-], ids=["length", "past_n", "zero", "decreasing", "repeated"])
-def test_exterior_form_refuses_a_bad_index_tuple(coeffs, message):
+@pytest.mark.parametrize("ambient, degree, coeffs, message", [
+    (3, 2, {(1,): 1}, r"index tuple \(1,\) in a degree-2 form"),
+    (3, 2, {(1, 4): 1}, r"index tuple \(1, 4\) out of range"),
+    (3, 2, {(0, 2): 1}, r"index tuple \(0, 2\) out of range"),
+    (3, 2, {(2, 1): 1}, r"index tuple \(2, 1\) is not strictly increasing"),
+    (3, 2, {(2, 2): 1}, r"index tuple \(2, 2\) is not strictly increasing"),
+    (2.5, 1, {(1,): 1}, "^ambient dimension must be a nonnegative integer$"),
+    (True, 1, {(1,): 1}, "^ambient dimension must be a nonnegative integer$"),
+    (-1, 0, {(): 1}, "^ambient dimension must be a nonnegative integer$"),
+], ids=["length", "past_n", "zero", "decreasing", "repeated", "float_ambient",
+        "bool_ambient", "negative_ambient"])
+def test_exterior_form_refuses_a_bad_index_tuple(ambient, degree, coeffs, message):
     with pytest.raises(DimensionMismatch, match=message):
-        ExteriorForm(3, 2, QQ, coeffs)
+        ExteriorForm(ambient, degree, QQ, coeffs)
 
 
 def test_forms_of_different_degrees_do_not_add():

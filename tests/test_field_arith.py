@@ -85,6 +85,18 @@ LIBRARY_REFUSALS = [
      "unknown operation 'pow'"),
     ("format_object", lambda: format_scalar(object()), TypeError,
      "not a scalar: <object object at "),
+    ("matrix_float_rows", lambda: Matrix(QQ, 1.0, 2, [1, 2]), DimensionMismatch,
+     "matrix row count must be a nonnegative integer"),
+    ("matrix_bool_rows", lambda: Matrix(QQ, True, 2, [1, 2]), DimensionMismatch,
+     "matrix row count must be a nonnegative integer"),
+    ("matrix_negative_cols", lambda: Matrix(QQ, 0, -1, []), DimensionMismatch,
+     "matrix column count must be a nonnegative integer"),
+    ("from_rows_float_cols", lambda: Matrix.from_rows(QQ, [[1, 2]], cols=2.0),
+     DimensionMismatch, "matrix column count must be a nonnegative integer"),
+    ("index_tuples_float_n", lambda: ce_complex.index_tuples(2.5, 1), DimensionMismatch,
+     "dimension must be a nonnegative integer"),
+    ("index_tuples_negative_n", lambda: ce_complex.index_tuples(-2, 0), DimensionMismatch,
+     "dimension must be a nonnegative integer"),
 ]
 
 

@@ -1,9 +1,10 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
-and every docstring example in the package runs.  Seven decisions have one
+and every docstring example in the package runs.  Eight decisions have one
 owner each: only field_arith builds or looks inside an echelon, only
 field_arith knows how a scalar is stored, only lie_core expands the
-structure constants, one function raises
+structure constants, only LieAlgebra.__init__ builds an algebra's 1-form
+table, one function raises
 DimensionCapExceeded, one raises DegreeOutOfRange, one compares two
 objects' ambient dimensions and fields, and one, field_arith._vector,
 checks a dense vector's length and coerces its entries.  No json.dumps
@@ -248,7 +249,7 @@ def test_detects_a_look_inside_a_scalar():
                                       (8, "ints"), (8, "num")]
 
 
-EXPANSION = {"_one_form_differentials", "_d_basis", "_merge_sign"}
+EXPANSION = {"_d_basis", "_merge_sign"}
 # the selftest copies a catalog table to corrupt it
 BRACKET_READERS = {"selftest.py:suite_jacobi"}
 
@@ -289,6 +290,40 @@ def test_detects_the_structure_constants_expanded_elsewhere():
               "def nested():\n    def _merge_sign(a, b):\n        pass\n")
     assert structure_constant_readers(source) == ({"jacobi", "C.m"},
                                                   {"_d_basis", "_merge_sign"})
+
+
+def one_form_table_uses(source):
+    """(qualified names of the functions that read an algebra's 1-form
+    table, the _one_forms attribute, those that assign or delete it) in
+    source."""
+    readers, writers = set(), set()
+    for name, node in _qualified_walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "_one_forms":
+            (readers if isinstance(node.ctx, ast.Load) else writers).add(name)
+    return readers, writers
+
+
+def test_only_the_algebra_builds_its_one_form_table():
+    # LieAlgebra.__init__ builds the table once per algebra and lie_core
+    # alone reads it, so no other module builds, passes or edits one
+    readers, writers = [], []
+    for path in MODULES + [Path(liecohom.__file__)]:
+        found, assigned = one_form_table_uses(path.read_text(encoding="utf-8"))
+        if path.name != "lie_core.py":
+            readers += ["%s:%s" % (path.name, name) for name in sorted(found, key=str)]
+        writers += ["%s:%s" % (path.name, name) for name in sorted(assigned, key=str)]
+    assert readers == []
+    assert writers == ["lie_core.py:LieAlgebra.__init__"]
+
+
+def test_detects_the_one_form_table_read_or_assigned_elsewhere():
+    source = ("class LieAlgebra:\n    def __init__(self, table):\n"
+              "        self._one_forms = table\n\n"
+              "def d(L, m):\n    return L._one_forms.get(m)\n\n"
+              "def rebuild(L, table):\n    L._one_forms = table\n\n"
+              "class C:\n    def forget(self, L):\n        del L._one_forms\n")
+    assert one_form_table_uses(source) == ({"d"}, {"LieAlgebra.__init__", "rebuild",
+                                                   "C.forget"})
 
 
 def raising_functions(source, error):

@@ -196,6 +196,13 @@ def test_check_rejects_a_sample_count_below_one(samples, monkeypatch):
         maurer_cartan_check(2, samples=samples)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "x"])
+def test_check_rejects_a_seed_that_is_not_a_nonnegative_integer(seed, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(InvalidParameter, match="^seed must be a nonnegative integer, got "):
+        maurer_cartan_check(2, samples=5, seed=seed)
+
+
 @pytest.mark.parametrize("name", ["step", "tol"])
 @pytest.mark.parametrize("value", [0.0, -1e-4, float("inf"), float("nan")])
 def test_check_rejects_a_bad_step_or_tolerance(name, value, monkeypatch):

@@ -254,24 +254,30 @@ def test_chain_iso_reports_pullback_outside_horizontal_space_over_q_a(monkeypatc
 
 def test_chain_iso_check_eliminates_h_and_tabulates_quotient_d_once(monkeypatch):
     # h's basis is eliminated once per check, not once per degree, and the
-    # 1-form differentials are tabulated once for L and once for the
-    # quotient, not once per pulled-back basis form; the third table is
-    # the one quotient_algebra's Jacobi check reads d^2 off for the quotient
-    calls = {"_rank_and_kernel": 0, "_one_form_differentials": 0}
-    modules = {"_rank_and_kernel": (ce_complex, quotient_pipeline),
-               "_one_form_differentials": (lie_core, ce_complex, quotient_pipeline)}
-    for name in calls:
-        real = getattr(ce_complex, name)
+    # check constructs one algebra, the quotient: each algebra tabulates
+    # its 1-form differentials once, when it is built, so the quotient's
+    # table is built once and L's not at all
+    L, h = filiform(7), l7_top_ideal()
+    quotient = quotient_algebra(L, h).quotient
+    eliminations, built = [], []
+    real_kernel = ce_complex._rank_and_kernel
+    real_init = lie_core.LieAlgebra.__init__
 
-        def counting(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+    def counting(*args):
+        eliminations.append(args)
+        return real_kernel(*args)
 
-        for module in modules[name]:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counting)
-    assert chain_iso_check(filiform(7), l7_top_ideal()) is None
-    assert calls == {"_rank_and_kernel": 1, "_one_form_differentials": 3}
+    def recording_init(self, *args):
+        real_init(self, *args)
+        built.append(self)
+
+    for module in (ce_complex, quotient_pipeline):
+        if hasattr(module, "_rank_and_kernel"):
+            monkeypatch.setattr(module, "_rank_and_kernel", counting)
+    monkeypatch.setattr(lie_core.LieAlgebra, "__init__", recording_init)
+    assert chain_iso_check(L, h) is None
+    assert len(eliminations) == 1
+    assert built == [quotient]
 
 
 def test_chain_iso_reports_dependent_pullbacks(monkeypatch):
